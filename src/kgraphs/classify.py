@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from . import degrees as dg
 from .kgraph import GraphLike, VertexId, is_leaf, quotient_graph, validate
-from .lattice import all_hs_subsets, saturated_hereditary_closure
+from .lattice import LATTICE_LIMIT, all_hs_subsets, saturated_hereditary_closure
 from .monoid import (Bounds, DEFAULT_BOUNDS, TElement, act, acts_freely, atoms,
                      find_periodic_element, is_atomic, leaf_orbit_collision,
                      t_equal)
@@ -26,8 +26,8 @@ from .tri import Certificate, Tri, no, register_replayer, unknown, yes
 
 def is_cofinal(graph) -> Tri:
     """Is the hereditary saturated lattice trivial ({empty, everything})?"""
-    if graph.is_lazy:
-        return unknown("cofinality is decided on finite graphs only")
+    if graph.is_lazy or len(graph.vertices) > LATTICE_LIMIT:
+        return unknown(f"cofinality needs a finite graph in the {LATTICE_LIMIT}-vertex lattice limit")
     subsets = all_hs_subsets(graph)
     proper = [h for h in subsets if h and h != frozenset(graph.vertices)]
     if proper:
@@ -179,8 +179,8 @@ def is_aperiodic(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
 
 def is_strongly_aperiodic(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     """Is every quotient by a proper hereditary saturated set aperiodic?"""
-    if graph.is_lazy:
-        return unknown("strong aperiodicity is decided on finite graphs only")
+    if graph.is_lazy or len(graph.vertices) > LATTICE_LIMIT:
+        return unknown(f"strong aperiodicity needs a finite graph in the {LATTICE_LIMIT}-vertex lattice limit")
     subsets = [h for h in all_hs_subsets(graph) if h != frozenset(graph.vertices)]
     parts = []
     for h in subsets:
@@ -296,7 +296,7 @@ def kp_report(graph, bounds: Bounds = DEFAULT_BOUNDS) -> ClassificationReport:
         if found is not None:
             witness = found
     lattice_sets = None
-    if not graph.is_lazy and len(graph.vertices) <= 20:
+    if not graph.is_lazy and len(graph.vertices) <= LATTICE_LIMIT:
         lattice_sets = [tuple(sorted(h, key=repr)) for h in all_hs_subsets(graph)]
     return ClassificationReport(
         name=getattr(graph, "name", ""), rank=graph.k, has_sources=has_src,

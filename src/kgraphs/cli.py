@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional
 
 from . import classify, docio, families, lattice
 from .kgraph import KGraph, validate
-from .monoid import DEFAULT_BOUNDS, Bounds, t_equal
+from .monoid import DEFAULT_BOUNDS, Bounds, TElement, t_equal
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -46,10 +46,15 @@ def _emit(payload: Dict[str, Any], fmt: str, text_lines: List[str]) -> None:
 
 
 def bounds_from_env(base: Bounds = DEFAULT_BOUNDS) -> Bounds:
+    """``base`` with KGRAPHS_<FIELD> overrides; a value that is not a
+    nonnegative integer is a parse error."""
     overrides = {}
     for f in base.__dataclass_fields__:
-        raw = os.environ.get(f"KGRAPHS_{f.upper()}")
+        name = f"KGRAPHS_{f.upper()}"
+        raw = os.environ.get(name)
         if raw is not None:
+            if not raw.strip().isdecimal():
+                raise docio.ParseError(f"{name} must be a nonnegative integer, got {raw!r}")
             overrides[f] = int(raw)
     return replace(base, **overrides) if overrides else base
 
@@ -66,16 +71,29 @@ def _resolve_graph(path: str):
     return _load(path)
 
 
+def _vertex_ids(g, names: List[str], depth: int) -> List[Any]:
+    """Vertex ids by printed name, looked up over the sampled window of a
+    lazy graph; an unknown name is a parse error."""
+    known = {docio._fmt_id(v): v for v in
+             (g.sample_vertices(depth) if g.is_lazy else g.vertices)}
+    for name in names:
+        if name not in known:
+            raise docio.ParseError(f"unknown vertex {name!r}")
+    return [known[name] for name in names]
+
+
+def _parse_element(g, text: str, depth: int) -> TElement:
+    a = docio.parse_element(text, g.k)
+    ids = _vertex_ids(g, [v for (v, _), _ in a.items], depth)
+    return TElement.from_pairs([((u, n), c) for u, ((_, n), c) in zip(ids, a.items)])
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_validate(args) -> int:
-    try:
-        g = _load(args.graph)
-    except (OSError, docio.ParseError) as exc:
-        _log(f"parse error: {exc}")
-        return EXIT_PARSE
+    g = _load(args.graph)
     rep = validate(g)
     payload = {"ok": rep.ok, "errors": rep.errors, "warnings": rep.warnings,
                "hasSources": rep.has_sources, "rank": rep.rank,
@@ -89,17 +107,17 @@ def cmd_validate(args) -> int:
 
 
 def cmd_eq(args) -> int:
-    try:
-        g = _resolve_graph(args.graph)
-        a = docio.parse_element(args.a, g.k)
-        b = docio.parse_element(args.b, g.k)
-    except (OSError, docio.ParseError) as exc:
-        _log(f"parse error: {exc}")
-        return EXIT_PARSE
     bounds = bounds_from_env()
+    g = _resolve_graph(args.graph)
+    a = _parse_element(g, args.a, bounds.sample_depth)
+    b = _parse_element(g, args.b, bounds.sample_depth)
     if args.bound is not None:
         bounds = replace(bounds, rewrite=args.bound, push=args.bound)
-    tri = t_equal(g, a, b, mode=args.mode, bounds=bounds)
+    try:
+        tri = t_equal(g, a, b, mode=args.mode, bounds=bounds)
+    except ValueError as exc:  # --mode exact on a graph it does not apply to
+        _log(str(exc))
+        return EXIT_PARSE
     cert = tri.certificate.kind if tri.certificate else None
     payload = {"verdict": tri.value, "certificate": cert, "note": tri.note}
     _emit(payload, args.format,
@@ -110,12 +128,8 @@ def cmd_eq(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        g = _resolve_graph(args.graph)
-    except (OSError, docio.ParseError) as exc:
-        _log(f"parse error: {exc}")
-        return EXIT_PARSE
     bounds = bounds_from_env()
+    g = _resolve_graph(args.graph)
     if args.depth is not None:
         bounds = replace(bounds, sample_depth=args.depth)
     if args.bound is not None:
@@ -165,11 +179,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    try:
-        g = _resolve_graph(args.graph)
-    except (OSError, docio.ParseError) as exc:
-        _log(f"parse error: {exc}")
-        return EXIT_PARSE
+    g = _resolve_graph(args.graph)
     if getattr(g, "is_lazy", False):
         _log("cannot export an infinite graph")
         return EXIT_PARSE
@@ -184,11 +194,7 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    try:
-        g = _resolve_graph(args.graph)
-    except (OSError, docio.ParseError) as exc:
-        _log(f"parse error: {exc}")
-        return EXIT_PARSE
+    g = _resolve_graph(args.graph)
     try:
         sets = lattice.all_hs_subsets(g)
     except ValueError as exc:
@@ -202,19 +208,8 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    try:
-        g = _resolve_graph(args.graph)
-    except (OSError, docio.ParseError) as exc:
-        _log(f"parse error: {exc}")
-        return EXIT_PARSE
-    seeds = []
-    known = {docio._fmt_id(v): v for v in
-             (g.sample_vertices(args.depth) if g.is_lazy else g.vertices)}
-    for name in args.vertices:
-        if name not in known:
-            _log(f"unknown vertex {name!r}")
-            return EXIT_PARSE
-        seeds.append(known[name])
+    g = _resolve_graph(args.graph)
+    seeds = _vertex_ids(g, args.vertices, args.depth)
     closure = lattice.saturated_hereditary_closure(g, seeds, depth=args.depth)
     listed = sorted(docio._fmt_id(v) for v in closure)
     _emit({"closure": listed, "truncated": bool(g.is_lazy)}, args.format,
@@ -224,12 +219,8 @@ def cmd_closure(args) -> int:
 
 
 def cmd_linepoints(args) -> int:
-    try:
-        g = _resolve_graph(args.graph)
-    except (OSError, docio.ParseError) as exc:
-        _log(f"parse error: {exc}")
-        return EXIT_PARSE
     bounds = bounds_from_env()
+    g = _resolve_graph(args.graph)
     if args.depth is not None:
         bounds = replace(bounds, sample_depth=args.depth)
     points = classify.line_points(g, bounds)
@@ -314,7 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, docio.ParseError) as exc:
+        _log(f"parse error: {exc}")
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

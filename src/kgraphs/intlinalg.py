@@ -1,13 +1,31 @@
-"""Exact integer linear algebra helpers.
+"""Exact integer linear algebra: the one place that stores and multiplies
+integer matrices.
 
-Only what the package needs: membership of a vector in the sublattice of Z^m
-spanned by a finite list of integer vectors, decided by column reduction to
-echelon form with unimodular operations (exact Python ints throughout).
+A matrix is a tuple of row tuples of Python ints, so entries never
+overflow, and a vector is a tuple of ints.  The boolean support of a
+matrix is a tuple of row bitmasks: bit j of row i is set when entry (i, j)
+is nonzero, which for a coordinate matrix means a path from vertex i to
+vertex j.  The module owns:
+
+- products: ``identity``, ``vecmat``, ``matmul``, and for boolean supports
+  ``row_support``, ``support`` and ``bool_vecmat``;
+- ``rank`` over Q by fraction-free (Bareiss) elimination and a primitive
+  integer ``kernel_vector``;
+- prime-exponent vectors: trial-division ``factorize``, ``exponent_matrix``
+  and ``exponent_rank``;
+- ``lattice_member``, membership in the sublattice of Z^m spanned by a list
+  of integer vectors, by column reduction with unimodular operations.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from fractions import Fraction
+from math import lcm
+from operator import mul
+from typing import Dict, List, Optional, Sequence, Tuple
+
+Vector = Tuple[int, ...]
+Matrix = Tuple[Vector, ...]
 
 
 def lattice_member(generators: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
@@ -55,18 +73,122 @@ def lattice_member(generators: Sequence[Sequence[int]], target: Sequence[int]) -
     return all(x == 0 for x in t)
 
 
-def exponent_rank(values: Sequence[int]) -> int:
-    """Rank over Q of the prime-exponent vectors of positive integers.
+def identity(n: int) -> Matrix:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
-    ``values[i] = prod p^{E[i][p]}``; the returned rank is the dimension of
-    the span of the rows E[i].  A value of 1 contributes a zero row.
+
+def vecmat(x: Sequence[int], a: Matrix) -> Vector:
+    """The row vector x times a; zero entries of x cost nothing."""
+    out = [0] * len(a[0]) if a else []
+    for xi, row in zip(x, a):
+        if xi:
+            out = [o + xi * r for o, r in zip(out, row)]
+    return tuple(out)
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def row_support(x: Sequence[int]) -> int:
+    """The bitmask of the nonzero entries of x."""
+    return sum(1 << j for j, v in enumerate(x) if v)
+
+
+def support(a: Matrix) -> Tuple[int, ...]:
+    return tuple(map(row_support, a))
+
+
+def bool_vecmat(mask: int, supp: Sequence[int]) -> int:
+    """The boolean row vector ``mask`` times the boolean matrix ``supp``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= supp[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def rank(a: Sequence[Sequence[int]]) -> int:
+    """Rank over Q, by Bareiss fraction-free elimination.
+
+    After each pivot every remaining entry is a minor of the input, so the
+    division by the previous pivot is exact and no rationals appear.
     """
-    from sympy import factorint
-    from sympy import Matrix
+    rows = [list(r) for r in a]
+    r, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p, top = rows[r][c], rows[r]
+        for i in range(r + 1, len(rows)):
+            q = rows[i][c]
+            rows[i] = [(p * x - q * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+        r += 1
+    return r
 
-    facts = [factorint(v) for v in values]
+
+def kernel_vector(a: Sequence[Sequence[int]]) -> Optional[Vector]:
+    """A primitive integer z != 0 with a z = 0, or None when a is injective.
+
+    Reduced row echelon form over Q; the first free column is set to 1 and
+    the solution scaled by the least common denominator.  Meant for small
+    matrices: entries grow as rationals.
+    """
+    rows = [[Fraction(x) for x in r] for r in a]
+    ncols = len(rows[0]) if rows else 0
+    pivots: List[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                q = rows[i][c]
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    free = next((c for c in range(ncols) if c not in pivots), None)
+    if free is None:
+        return None
+    z = [Fraction(0)] * ncols
+    z[free] = Fraction(1)
+    for r, c in enumerate(pivots):
+        z[c] = -rows[r][free]
+    denom = lcm(*(x.denominator for x in z))
+    return tuple(int(x * denom) for x in z)
+
+
+def factorize(n: int) -> Dict[int, int]:
+    """Prime factorization of n >= 1 by trial division: {prime: exponent}."""
+    if n < 1:
+        raise ValueError(f"factorize needs a positive integer, got {n}")
+    out: Dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def exponent_matrix(values: Sequence[int]) -> Matrix:
+    """Row i holds the exponents of values[i] over the primes dividing any
+    value, in increasing order.  A value of 1 gives a zero row."""
+    facts = [factorize(v) for v in values]
     primes = sorted({p for f in facts for p in f})
-    if not primes:
-        return 0
-    rows = [[f.get(p, 0) for p in primes] for f in facts]
-    return Matrix(rows).rank()
+    return tuple(tuple(f.get(p, 0) for p in primes) for f in facts)
+
+
+def exponent_rank(values: Sequence[int]) -> int:
+    """Rank over Q of the prime-exponent vectors of positive integers."""
+    return rank(exponent_matrix(values))

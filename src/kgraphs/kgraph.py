@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import degrees as dg
+from . import intlinalg as il
 from .tri import Certificate, Tri, no, register_replayer, unknown, yes
 
 VertexId = Hashable
@@ -34,10 +33,6 @@ class Edge:
     color: int
     range: VertexId
     source: VertexId
-
-    @property
-    def degree(self) -> None:
-        raise AttributeError("use unit(k, color); edges carry a color, not a vector")
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,7 @@ class KGraph:
             self.lo2hi[sq.lo] = sq.hi
             self.hi2lo[sq.hi] = sq.lo
 
-        self._coord_cache: Dict[Tuple[int, ...], np.ndarray] = {}
+        self._coord_cache: Dict[Tuple[int, ...], il.Matrix] = {}
 
     # -- basic queries -------------------------------------------------
 
@@ -122,34 +117,38 @@ class KGraph:
 
     # -- coordinate matrices -------------------------------------------
 
-    def color_matrix(self, color: int) -> np.ndarray:
+    def color_matrix(self, color: int) -> il.Matrix:
         """A_i[v, w] = number of color-i edges with range v, source w."""
-        key = dg.unit(self.k, color)
-        if key not in self._coord_cache:
-            n = len(self.vertices)
-            a = np.zeros((n, n), dtype=object)
-            for e in self.edges:
-                if e.color == color:
-                    a[self.vertex_index[e.range], self.vertex_index[e.source]] += 1
-            self._coord_cache[key] = a
-        return self._coord_cache[key]
+        return self.coord_matrix(dg.unit(self.k, color))
 
-    def coord_matrix(self, n: Sequence[int]) -> np.ndarray:
+    def coord_matrix(self, n: Sequence[int]) -> il.Matrix:
         """A_n = prod_i A_i^{n_i}; counts paths of degree n by (range, source).
 
-        Exact integer arithmetic (object dtype), so entries never overflow.
+        A miss steps down to the nearest cached degree, dropping the last
+        nonzero color first, and multiplies back up: one product per new
+        degree, each A_n built as A_{n - e_i} A_i.
         """
         n = dg.validate_vec(tuple(n), self.k, "degree")
         if not dg.is_nonneg(n):
             raise ValueError(f"degree must be nonnegative, got {n}")
-        if n in self._coord_cache:
-            return self._coord_cache[n]
-        size = len(self.vertices)
-        acc = np.eye(size, dtype=object)
-        for i, power in enumerate(n):
-            for _ in range(power):
-                acc = acc @ self.color_matrix(i)
-        self._coord_cache[n] = acc
+        cache = self._coord_cache
+        if not cache:
+            size, idx = len(self.vertices), self.vertex_index
+            counts = [[[0] * size for _ in range(size)] for _ in range(self.k)]
+            for e in self.edges:
+                counts[e.color][idx[e.range]][idx[e.source]] += 1
+            cache[dg.zero(self.k)] = il.identity(size)
+            for i, a in enumerate(counts):
+                cache[dg.unit(self.k, i)] = tuple(map(tuple, a))
+        colors = []
+        m = n
+        while m not in cache:
+            colors.append(max(i for i, x in enumerate(m) if x))
+            m = dg.sub(m, dg.unit(self.k, colors[-1]))
+        acc = cache[m]
+        for i in reversed(colors):
+            m = dg.add(m, dg.unit(self.k, i))
+            acc = cache[m] = il.matmul(acc, cache[dg.unit(self.k, i)])
         return acc
 
     # -- squares -------------------------------------------------------
@@ -354,7 +353,7 @@ def validate(g: KGraph) -> ValidationReport:
         for i in range(g.k):
             for j in range(i + 1, g.k):
                 ai, aj = g.color_matrix(i), g.color_matrix(j)
-                if not np.array_equal(ai @ aj, aj @ ai):
+                if il.matmul(ai, aj) != il.matmul(aj, ai):
                     errors.append(f"coordinate matrices A_{i}, A_{j} do not commute")
     if not errors and g.k >= 3:
         _check_hexagon(g, errors)

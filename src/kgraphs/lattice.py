@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from . import degrees as dg
+from . import intlinalg as il
 from .kgraph import GraphLike, VertexId
 from .monoid import TElement, common_level, push_to_level
 from .tri import Certificate, Tri, no, register_replayer, unknown, yes
@@ -35,45 +34,51 @@ class BooleanReach:
 
     Generated by closing the color supports under boolean products; the
     semigroup is commutative (the integer matrices commute) and finite, so
-    the closure terminates.  ``size_cap`` guards degenerate blowups.
+    the closure terminates.  ``size_cap`` guards degenerate blowups.  Each
+    state is a tuple of row bitmasks (see :mod:`kgraphs.intlinalg`).
     """
 
     def __init__(self, graph, size_cap: int = 4096):
         self.graph = graph
-        n = len(graph.vertices)
-        gens = []
-        for i in range(graph.k):
-            gens.append(np.array(graph.color_matrix(i) != 0, dtype=bool))
-        states: Dict[bytes, np.ndarray] = {}
-        frontier = []
-        for g in gens:
-            key = g.tobytes()
-            if key not in states:
-                states[key] = g
-                frontier.append(g)
+        gens = [il.support(graph.color_matrix(i)) for i in range(graph.k)]
+        states: Dict[Tuple[int, ...], None] = dict.fromkeys(gens)
+        frontier = list(states)
         while frontier:
             nxt = []
             for s in frontier:
                 for g in gens:
-                    prod = (s.astype(int) @ g.astype(int)) > 0
-                    key = prod.tobytes()
-                    if key not in states:
+                    prod = tuple(il.bool_vecmat(row, g) for row in s)
+                    if prod not in states:
                         if len(states) >= size_cap:
                             raise RuntimeError("boolean reachability semigroup "
                                                f"exceeded {size_cap} states")
-                        states[key] = prod
+                        states[prod] = None
                         nxt.append(prod)
             frontier = nxt
-        self.states: List[np.ndarray] = list(states.values())
-        self.generators = gens
+        self.states: List[Tuple[int, ...]] = list(states)
 
-    def any_reach(self) -> np.ndarray:
+    def any_reach(self) -> Tuple[int, ...]:
         """Reflexive-transitive reachability by paths of any degree."""
-        n = len(self.graph.vertices)
-        acc = np.eye(n, dtype=bool)
+        acc = [1 << i for i in range(len(self.graph.vertices))]
         for s in self.states:
-            acc |= s
-        return acc
+            acc = [a | r for a, r in zip(acc, s)]
+        return tuple(acc)
+
+    def saturates(self, row: int, hmask: int) -> bool:
+        """Is there a degree n != 0 at which vertex ``row`` has paths and
+        the sources of all of them lie in the vertex bitmask ``hmask``?"""
+        return any(s[row] and not s[row] & ~hmask for s in self.states)
+
+
+def _mask(graph, vs: Iterable[VertexId]) -> int:
+    """The bitmask of the vertices of ``vs`` that lie in the graph."""
+    idx = graph.vertex_index
+    return sum(1 << idx[v] for v in set(vs) if v in idx)
+
+
+def _expands(mask: int, supp: Sequence[int]) -> bool:
+    """Does every vertex in ``mask`` have an edge of the color of ``supp``?"""
+    return all(r for j, r in enumerate(supp) if mask >> j & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +147,15 @@ def saturated_hereditary_closure(graph: GraphLike, xs: Iterable[VertexId],
                 return x
 
     reach = BooleanReach(graph)
-    idx = graph.vertex_index
     x = hereditary_closure(graph, xs)
     while True:
         added = False
+        xmask = _mask(graph, x)
         for u in graph.vertices:
-            if u in x:
-                continue
-            row = idx[u]
-            for state in reach.states:
-                srcs = {graph.vertices[j] for j in np.flatnonzero(state[row])}
-                if srcs and srcs <= x:
-                    x |= hereditary_closure(graph, {u})
-                    added = True
-                    break
+            if u not in x and reach.saturates(graph.vertex_index[u], xmask):
+                x |= hereditary_closure(graph, {u})
+                xmask = _mask(graph, x)
+                added = True
         if not added:
             return x
 
@@ -169,24 +169,20 @@ def is_saturated(graph, h: Iterable[VertexId],
                  reach: Optional[BooleanReach] = None) -> bool:
     hs = set(h)
     reach = reach or BooleanReach(graph)
-    idx = graph.vertex_index
-    for u in graph.vertices:
-        if u in hs:
-            continue
-        row = idx[u]
-        for state in reach.states:
-            srcs = {graph.vertices[j] for j in np.flatnonzero(state[row])}
-            if srcs and srcs <= hs:
-                return False
-    return True
+    hmask = _mask(graph, hs)
+    return not any(reach.saturates(graph.vertex_index[u], hmask)
+                   for u in graph.vertices if u not in hs)
+
+
+LATTICE_LIMIT = 20  # vertices; the enumeration below visits 2^|V| subsets
 
 
 def all_hs_subsets(graph) -> List[FrozenSet[VertexId]]:
     """Every hereditary saturated subset, smallest first (finite graphs)."""
     if graph.is_lazy:
         raise ValueError("the full lattice needs a finite graph")
-    if len(graph.vertices) > 20:
-        raise ValueError("lattice enumeration is limited to 20 vertices")
+    if len(graph.vertices) > LATTICE_LIMIT:
+        raise ValueError(f"lattice enumeration is limited to {LATTICE_LIMIT} vertices")
     reach = BooleanReach(graph)
     out = []
     verts = list(graph.vertices)
@@ -224,29 +220,25 @@ def ideal_membership(graph, a: TElement, h: Iterable[VertexId]) -> Tri:
         return yes(Certificate("ideal_member", {"a": a, "h": hkey,
                                                 "level": None, "path": []}))
     t = common_level(a, TElement.zero(), graph.k)
-    vec = push_to_level(graph, a, t).vector(graph.vertices)
-    row = np.array([bool(c) for c in vec], dtype=bool)
-    seen = {row.tobytes()}
-    trail: Dict[bytes, List[int]] = {row.tobytes(): []}
+    row = il.row_support(push_to_level(graph, a, t).vector(graph.vertices))
+    hmask = _mask(graph, hs)
+    gens = [il.support(graph.color_matrix(i)) for i in range(graph.k)]
+    trail: Dict[int, List[int]] = {row: []}
     frontier = [row]
     while frontier:
         nxt = []
         for state in frontier:
-            supp = {graph.vertices[j] for j in np.flatnonzero(state)}
-            if supp <= hs:
+            if not state & ~hmask:
                 return yes(Certificate("ideal_member",
                                        {"a": a, "h": hkey, "level": t,
-                                        "path": trail[state.tobytes()]}))
-            for i in range(graph.k):
-                gen = np.array(graph.color_matrix(i) != 0, dtype=bool)
+                                        "path": trail[state]}))
+            for i, gen in enumerate(gens):
                 # the expansion relation only applies where out-edges exist
-                if not gen[state].any(axis=1).all():
+                if not _expands(state, gen):
                     continue
-                new = (state.astype(int) @ gen.astype(int)) > 0
-                key = new.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    trail[key] = trail[state.tobytes()] + [i]
+                new = il.bool_vecmat(state, gen)
+                if new not in trail:
+                    trail[new] = trail[state] + [i]
                     nxt.append(new)
         frontier = nxt
     return no(Certificate("ideal_nonmember", {"a": a, "h": hkey}))
@@ -282,10 +274,10 @@ def is_prime_ideal(graph, h: Iterable[VertexId]) -> Tri:
         return no(Certificate("not_prime", {"h": hkey, "reason": "improper"}))
     reach = BooleanReach(graph).any_reach()
     idx = graph.vertex_index
+    cmask = _mask(graph, comp)
     for v in comp:
         for w in comp:
-            if not any(reach[idx[v], idx[u]] and reach[idx[w], idx[u]]
-                       for u in comp):
+            if not reach[idx[v]] & reach[idx[w]] & cmask:
                 return no(Certificate("not_prime", {"h": hkey, "v": v, "w": w}))
     return yes(Certificate("prime_tail", {"h": hkey}))
 
@@ -306,16 +298,13 @@ def _replay_ideal_member(graph, tri: Tri) -> bool:
     a = d["a"]
     if a.is_zero():
         return True
-    hs = set(d["h"])
-    vec = push_to_level(graph, a, d["level"]).vector(graph.vertices)
-    row = np.array([bool(c) for c in vec], dtype=bool)
+    row = il.row_support(push_to_level(graph, a, d["level"]).vector(graph.vertices))
     for i in d["path"]:
-        gen = np.array(graph.color_matrix(i) != 0, dtype=bool)
-        if not gen[row].any(axis=1).all():
+        gen = il.support(graph.color_matrix(i))
+        if not _expands(row, gen):
             return False
-        row = (row.astype(int) @ gen.astype(int)) > 0
-    supp = {graph.vertices[j] for j in np.flatnonzero(row)}
-    return supp <= hs
+        row = il.bool_vecmat(row, gen)
+    return not row & ~_mask(graph, d["h"])
 
 
 @register_replayer("ideal_nonmember")
@@ -336,8 +325,7 @@ def _replay_not_prime(graph, tri: Tri) -> bool:
     v, w = d["v"], d["w"]
     if v in hs or w in hs:
         return False
-    return not any(reach[idx[v], idx[u]] and reach[idx[w], idx[u]]
-                   for u in comp)
+    return not reach[idx[v]] & reach[idx[w]] & _mask(graph, comp)
 
 
 @register_replayer("prime_tail")

@@ -10,10 +10,10 @@ Deciding equality uses the level picture: on a finite graph without sources
 every element pushes to a vector at any common level t, pushing commutes
 with the defining relations, and two elements agree exactly when some
 further push A_m equalizes their level vectors.  When every color matrix
-has nonzero determinant the push maps are injective, so m = 0 already
-decides (exact mode).  Otherwise the equalizer search is bounded and the
-negative side falls back to rewriting on the degree skew product, which is
-also the route for graphs with sources and for lazy graphs.
+has full rank the push maps are injective, so m = 0 already decides (exact
+mode).  Otherwise the equalizer search is bounded and the negative side
+falls back to rewriting on the degree skew product, which is also the
+route for graphs with sources and for lazy graphs.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
-from math import lcm
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import degrees as dg
+from . import intlinalg as il
 from . import rewrite as rw
 from .kgraph import GraphLike, VertexId, is_leaf, skew_product
 from .tri import Certificate, Tri, no, register_replayer, unknown, yes
@@ -131,12 +129,12 @@ class LevelForm:
     level: Vec
     coeffs: Tuple[Tuple[VertexId, int], ...]
 
-    def vector(self, vertex_order: Sequence[VertexId]) -> np.ndarray:
+    def vector(self, vertex_order: Sequence[VertexId]) -> il.Vector:
         idx = {v: i for i, v in enumerate(vertex_order)}
-        x = np.zeros(len(vertex_order), dtype=object)
+        x = [0] * len(vertex_order)
         for v, c in self.coeffs:
             x[idx[v]] += c
-        return x
+        return tuple(x)
 
 
 def push_to_level(graph, a: TElement, t: Sequence[int]) -> LevelForm:
@@ -154,7 +152,7 @@ def push_to_level(graph, a: TElement, t: Sequence[int]) -> LevelForm:
         row = mat[graph.vertex_index[v]]
         for j, w in enumerate(graph.vertices):
             if row[j]:
-                acc[w] += c * int(row[j])
+                acc[w] += c * row[j]
     return LevelForm(t, tuple(sorted((kv for kv in acc.items() if kv[1]),
                                      key=lambda kv: repr(kv[0]))))
 
@@ -167,14 +165,9 @@ def common_level(a: TElement, b: TElement, k: int) -> Vec:
 
 
 def is_exact(graph) -> bool:
-    """True when every color matrix is injective (nonzero determinant)."""
-    from sympy import Matrix
-
-    for i in range(graph.k):
-        m = graph.color_matrix(i)
-        if Matrix(m.tolist()).det() == 0:
-            return False
-    return True
+    """True when every color matrix is injective (has full rank)."""
+    return all(il.rank(graph.color_matrix(i)) == len(graph.vertices)
+               for i in range(graph.k))
 
 
 def _equalizer_exponents(k: int, bound: int):
@@ -260,14 +253,14 @@ def _t_equal_level(graph, a: TElement, b: TElement, mode: str,
     scan_cap = min(bounds.push, graph.k * len(graph.vertices) - 1)
     for m in _equalizer_exponents(graph.k, scan_cap):
         am = graph.coord_matrix(m)
-        if np.array_equal(xv @ am, yv @ am):
+        if il.vecmat(xv, am) == il.vecmat(yv, am):
             return yes(Certificate("equalizer", {"a": a, "b": b, "level": t, "m": m}))
     # Decisive exponent: with B = A_1...A_k, the left-kernels of B^j stabilize
     # within |vertices| steps, and any equalizing exponent pushes up to a
     # diagonal one, so the diagonal (|V|, ..., |V|) settles the question.
     mstar = (len(graph.vertices),) * graph.k
     am = graph.coord_matrix(mstar)
-    if np.array_equal(xv @ am, yv @ am):
+    if il.vecmat(xv, am) == il.vecmat(yv, am):
         return yes(Certificate("equalizer", {"a": a, "b": b, "level": t, "m": mstar}))
     return no(Certificate("kernel_stable", {"a": a, "b": b, "level": t, "m": mstar}))
 
@@ -302,11 +295,11 @@ def t_leq(graph, a: TElement, b: TElement, mode: str = "auto",
     t = common_level(a, b, graph.k)
     xv = push_to_level(graph, a, t).vector(graph.vertices)
     yv = push_to_level(graph, b, t).vector(graph.vertices)
-    if all(int(p) <= int(q) for p, q in zip(xv, yv)):
+    if all(p <= q for p, q in zip(xv, yv)):
         return yes(Certificate("order_equalizer", {"a": a, "b": b, "level": t, "m": dg.zero(graph.k)}))
     for m in _equalizer_exponents(graph.k, bounds.push):
         am = graph.coord_matrix(m)
-        if all(int(p) <= int(q) for p, q in zip(xv @ am, yv @ am)):
+        if all(p <= q for p, q in zip(il.vecmat(xv, am), il.vecmat(yv, am))):
             return yes(Certificate("order_equalizer", {"a": a, "b": b, "level": t, "m": m}))
     return unknown(f"no order equalizer with |m|_1 <= {bounds.push}")
 
@@ -538,8 +531,6 @@ def acts_freely(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     never free because some leaf orbit revisits a vertex (pigeonhole);
     otherwise a bounded periodic-element search can certify non-freeness.
     """
-    from .intlinalg import exponent_rank
-
     k = graph.k
     if _graded_injective(graph):
         return yes(Certificate("graded_translation", {}),
@@ -549,7 +540,7 @@ def acts_freely(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
         if len(graph.vertices) == 1:
             v = graph.vertices[0]
             counts = [len(graph.out_edges(v, i)) for i in range(k)]
-            if all(c >= 2 for c in counts) and exponent_rank(counts) == k:
+            if all(c >= 2 for c in counts) and il.exponent_rank(counts) == k:
                 return yes(Certificate("free_multiplicative", {"counts": counts}))
             witness = _single_vertex_periodic_pair(graph, counts)
             return no(Certificate("periodic_pair",
@@ -586,22 +577,12 @@ def _leaf_vertex_at(graph, v: VertexId, m: Vec) -> VertexId:
 
 def _single_vertex_periodic_pair(graph, counts: Sequence[int]) -> Tuple[TElement, Vec]:
     """A periodic pair on a one-vertex graph with dependent multiplicities."""
-    from sympy import Matrix, factorint
-
     k = graph.k
     v = graph.vertices[0]
     for i, c in enumerate(counts):
         if c == 1:
             return TElement.gen(v, dg.zero(k)), dg.unit(k, i)
-    primes = sorted({p for c in counts for p in factorint(c)})
-    rows = [[factorint(c).get(p, 0) for p in primes] for c in counts]
-    null = Matrix(rows).T.nullspace()
-    vec = null[0]
-    denom = 1
-    for x in vec:
-        denom = lcm(denom, int(x.q))
-    z = tuple(int(x * denom) for x in vec)
-    z = _normalize_period(z)
+    z = _normalize_period(il.kernel_vector(tuple(zip(*il.exponent_matrix(counts)))))
     zminus = tuple(max(-x, 0) for x in z)
     return TElement.gen(v, zminus), z
 
@@ -627,13 +608,11 @@ def refine(graph, a1: TElement, a2: TElement, b1: TElement, b2: TElement,
     vecs = {}
     for name, el in (("a1", a1), ("a2", a2), ("b1", b1), ("b2", b2)):
         vecs[name] = push_to_level(graph, el, level).vector(graph.vertices)
-    parts = {("a1", "b1"): np.zeros(len(graph.vertices), dtype=object),
-             ("a1", "b2"): np.zeros(len(graph.vertices), dtype=object),
-             ("a2", "b1"): np.zeros(len(graph.vertices), dtype=object),
-             ("a2", "b2"): np.zeros(len(graph.vertices), dtype=object)}
+    parts = {key: [0] * len(graph.vertices)
+             for key in (("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2"))}
     for j in range(len(graph.vertices)):
-        x1, x2 = int(vecs["a1"][j]), int(vecs["a2"][j])
-        y1, y2 = int(vecs["b1"][j]), int(vecs["b2"][j])
+        x1, x2 = vecs["a1"][j], vecs["a2"][j]
+        y1, y2 = vecs["b1"][j], vecs["b2"][j]
         if x1 + x2 != y1 + y2:
             return None
         c11 = min(x1, y1)
@@ -646,7 +625,7 @@ def refine(graph, a1: TElement, a2: TElement, b1: TElement, b2: TElement,
         parts[("a2", "b2")][j] = c22
 
     def to_elem(vec) -> TElement:
-        return TElement.from_pairs([((v, level), int(vec[j]))
+        return TElement.from_pairs([((v, level), vec[j])
                                     for j, v in enumerate(graph.vertices) if vec[j]])
 
     return [[to_elem(parts[("a1", "b1")]), to_elem(parts[("a1", "b2")])],
@@ -685,7 +664,7 @@ def _replay_equalizer(graph, tri: Tri) -> bool:
     xv = push_to_level(graph, d["a"], d["level"]).vector(graph.vertices)
     yv = push_to_level(graph, d["b"], d["level"]).vector(graph.vertices)
     am = graph.coord_matrix(d["m"])
-    return bool(np.array_equal(xv @ am, yv @ am))
+    return il.vecmat(xv, am) == il.vecmat(yv, am)
 
 
 @register_replayer("kernel_stable")
@@ -698,7 +677,7 @@ def _replay_kernel_stable(graph, tri: Tri) -> bool:
     xv = push_to_level(graph, d["a"], d["level"]).vector(graph.vertices)
     yv = push_to_level(graph, d["b"], d["level"]).vector(graph.vertices)
     am = graph.coord_matrix(d["m"])
-    return not np.array_equal(xv @ am, yv @ am)
+    return il.vecmat(xv, am) != il.vecmat(yv, am)
 
 
 @register_replayer("order_equalizer")
@@ -709,7 +688,7 @@ def _replay_order_equalizer(graph, tri: Tri) -> bool:
     xv = push_to_level(graph, d["a"], d["level"]).vector(graph.vertices)
     yv = push_to_level(graph, d["b"], d["level"]).vector(graph.vertices)
     am = graph.coord_matrix(d["m"])
-    return all(int(p) <= int(q) for p, q in zip(xv @ am, yv @ am))
+    return all(p <= q for p, q in zip(il.vecmat(xv, am), il.vecmat(yv, am)))
 
 
 @register_replayer("graded_keys")
@@ -749,15 +728,13 @@ def _replay_graded_translation(graph, tri: Tri) -> bool:
 
 @register_replayer("free_multiplicative")
 def _replay_free_mult(graph, tri: Tri) -> bool:
-    from .intlinalg import exponent_rank
-
     d = tri.certificate.data
     if graph.is_lazy or len(graph.vertices) != 1:
         return False
     v = graph.vertices[0]
     counts = [len(graph.out_edges(v, i)) for i in range(graph.k)]
     return counts == list(d["counts"]) and all(c >= 2 for c in counts) \
-        and exponent_rank(counts) == graph.k
+        and il.exponent_rank(counts) == graph.k
 
 
 @register_replayer("periodic_pair")

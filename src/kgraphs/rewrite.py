@@ -313,31 +313,6 @@ def apply_chain(graph: GraphLike, start: FreeElement,
     return cur
 
 
-def split_derivation(graph: GraphLike, parts: Sequence[FreeElement],
-                     steps: Sequence[StepLabel]) -> List[Tuple[FreeElement, List[StepLabel]]]:
-    """Attribute a forward derivation on a sum to its summands.
-
-    Given parts with sum alpha and a forward trace alpha ->* beta, each step
-    consumes one occurrence of a generator; it is charged to the first part
-    still holding that generator, yielding per-part reducts whose sum is
-    beta together with the per-part step lists.
-    """
-    states = [p for p in parts]
-    charged: List[List[StepLabel]] = [[] for _ in parts]
-    for d, gen, color in steps:
-        if d != +1:
-            raise ValueError("split_derivation needs a forward-only trace")
-        for t, st in enumerate(states):
-            nxt = step(graph, st, gen, color)
-            if nxt is not None:
-                states[t] = nxt
-                charged[t].append((+1, gen, color))
-                break
-        else:
-            raise ValueError(f"step on {gen!r} applies to no summand")
-    return list(zip(states, charged))
-
-
 # ---------------------------------------------------------------------------
 # certificate replay
 

@@ -124,3 +124,9 @@ def test_disjoint_union_not_cofinal():
     tri = is_cofinal(g)
     assert tri.is_no
     assert replay(g, tri)
+
+
+def test_lattice_limit_gives_unknown():
+    g = families.finite_grid(2, (4, 4))  # 25 vertices
+    for tri in (is_cofinal(g), is_strongly_aperiodic(g, DEFAULT_BOUNDS)):
+        assert tri.is_unknown and "20-vertex lattice limit" in tri.note

@@ -138,3 +138,17 @@ def test_bounds_env_override(monkeypatch):
     b = cli.bounds_from_env()
     assert b.rewrite == 5 and b.sample_depth == 9
     assert b.push == DEFAULT_BOUNDS.push
+
+
+def test_eq_faults_end_in_exit_codes(monkeypatch, capsys):
+    code, _, err = run(["eq", "cycle4", "nope(0,0)", "u(0,0)"], capsys)
+    assert code == cli.EXIT_PARSE and "unknown vertex 'nope'" in err
+    # lazy families are named over their sampled window
+    code, out, _ = run(["eq", "grid2", "0|0(0,0)", "0|0(1,0)"], capsys)
+    assert code == cli.EXIT_NO and out.startswith("No")
+    for bad in ("abc", "-1"):
+        monkeypatch.setenv("KGRAPHS_REWRITE", bad)
+        code, _, err = run(["eq", "cycle4", "u(0,0)", "u(4,0)"], capsys)
+        assert code == cli.EXIT_PARSE and "KGRAPHS_REWRITE" in err
+        code, _, _ = run(["classify", "cycle4"], capsys)
+        assert code == cli.EXIT_PARSE

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from math import lcm, prod
 
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgraphs.intlinalg import exponent_rank, lattice_member
+from kgraphs.intlinalg import (exponent_rank, factorize, kernel_vector,
+                               lattice_member, rank)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def brute_lattice_member(gens, target, coeff_bound=6):
@@ -42,9 +50,21 @@ def test_lattice_member_exact_cases():
     assert not lattice_member([], [1, 0])
 
 
-def brute_exponent_rank(values, bound=5):
+def relation_bound(values):
+    """No exponent of a relation needs to exceed this bound.
+
+    The relations are spanned by Cramer vectors whose entries are r x r
+    minors of the prime-exponent matrix, r < n its rank.  The exponents of
+    v sum to at most log2(v), so by Hadamard's inequality a minor is at most
+    the product of the r largest values of bit_length(v) - 1.
+    """
+    return prod(sorted(v.bit_length() - 1 for v in values)[1:])
+
+
+def brute_exponent_rank(values):
     """Rank = n minus dimension of multiplicative relations a^x b^y ... = 1."""
     n = len(values)
+    bound = relation_bound(values)
     relations = []
     for exps in product(range(-bound, bound + 1), repeat=n):
         if all(e == 0 for e in exps):
@@ -59,8 +79,7 @@ def brute_exponent_rank(values, bound=5):
             relations.append(exps)
     if not relations:
         return n
-    from sympy import Matrix
-    return n - Matrix(relations).rank()
+    return n - sympy.Matrix(relations).rank()
 
 
 def test_exponent_rank_cases():
@@ -73,5 +92,49 @@ def test_exponent_rank_cases():
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(2, 12), min_size=1, max_size=3))
+@example([6, 8, 9])    # 6^6 = 8^2 * 9^3
+@example([8, 9, 12])   # 12^6 = 8^4 * 9^3
 def test_exponent_rank_matches_bruteforce(values):
     assert exponent_rank(values) == brute_exponent_rank(values)
+
+
+small_matrix = st.integers(1, 4).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-4, 4), min_size=cols, max_size=cols),
+    min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrix)
+def test_rank_and_kernel_match_sympy(rows):
+    ref = sympy.Matrix(rows)
+    assert rank(rows) == ref.rank()
+    z = kernel_vector(rows)
+    null = ref.nullspace()
+    if not null:
+        assert z is None
+        return
+    # the first sympy basis vector, cleared of denominators, is primitive
+    want = null[0] * lcm(*(int(x.q) for x in null[0]))
+    assert list(z) == [int(x) for x in want]
+    assert all(sum(a * b for a, b in zip(row, z)) == 0 for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200))
+def test_factorize_matches_sympy(n):
+    assert factorize(n) == sympy.factorint(n)
+
+
+def test_no_numpy_or_sympy_at_run_time():
+    script = (
+        "import sys\n"
+        "from kgraphs import TElement, families, kp_report, t_equal\n"
+        "kp_report(families.cycle_pullback())\n"
+        "kp_report(families.one_vertex_3x2())\n"
+        "t_equal(families.cycle_pullback(), TElement.gen('u', (0, 0)), "
+        "TElement.gen('z', (0, 0)))\n"
+        "print(sorted({'numpy', 'sympy'} & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": SRC}).stdout
+    assert out.strip() == "[]"

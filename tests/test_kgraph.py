@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgraphs import families
 from kgraphs.kgraph import (Edge, KGraph, Square, is_leaf, quotient_graph,
@@ -63,15 +65,33 @@ def test_hexagon_violation_rejected():
 
 
 def test_coord_matrices(one_vertex_3x2, cycle4):
-    assert one_vertex_3x2.color_matrix(0).tolist() == [[3]]
-    assert one_vertex_3x2.color_matrix(1).tolist() == [[2]]
-    assert one_vertex_3x2.coord_matrix((2, 1)).tolist() == [[18]]
+    assert one_vertex_3x2.color_matrix(0) == ((3,),)
+    assert one_vertex_3x2.color_matrix(1) == ((2,),)
+    assert one_vertex_3x2.coord_matrix((2, 1)) == ((18,),)
     a = cycle4.coord_matrix((1, 1))
     # degree-(1,1) paths advance two steps around the four-cycle
     idx = cycle4.vertex_index
     for v in cycle4.vertices:
         row = a[idx[v]]
         assert sum(row) == 1
+
+
+degree = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), degree, degree)
+def test_coord_matrix_is_product_of_powers(seed, n, warm):
+    g = families.random_2graph(seed)
+    g.coord_matrix(warm)  # n then builds on whatever this left cached
+    size = len(g.vertices)
+    want = [[int(i == j) for j in range(size)] for i in range(size)]
+    for color, power in enumerate(n):
+        a = g.color_matrix(color)
+        for _ in range(power):
+            want = [[sum(row[t] * a[t][j] for t in range(size)) for j in range(size)]
+                    for row in want]
+    assert g.coord_matrix(n) == tuple(map(tuple, want))
 
 
 def test_out_in_edges(loop_pair_tail):
