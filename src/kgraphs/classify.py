@@ -2,12 +2,13 @@
 and the semisimplicity report.
 
 Everything returns three-valued verdicts with replayable certificates.  The
-the exact routes rest on structural equivalences: cofinality is triviality of the hereditary
-saturated lattice; on atomic graphs aperiodicity is equivalent to freeness
-of the shift action, whose failure is witnessed by a periodic atom; a free
-action forces aperiodicity on any graph without sources; and semisimplicity
-is atomicity together with freeness, which on a finite graph without sources
-always fails by pigeonhole (leaf orbits must revisit a vertex).
+exact routes rest on structural equivalences: cofinality is triviality of
+the hereditary saturated lattice; on atomic graphs aperiodicity is
+equivalent to freeness of the shift action, whose failure is witnessed by a
+periodic atom; a free action forces aperiodicity on any graph without
+sources; and semisimplicity is atomicity together with freeness, which on a
+finite graph without sources always fails by pigeonhole (leaf orbits must
+revisit a vertex).
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from . import degrees as dg
-from .kgraph import GraphLike, VertexId, is_leaf, quotient_graph, validate
+from .kgraph import VertexId, is_leaf, quotient_graph, shared_fact, validate, walk
 from .lattice import LATTICE_LIMIT, all_hs_subsets, saturated_hereditary_closure
 from .monoid import (Bounds, DEFAULT_BOUNDS, TElement, act, acts_freely, atoms,
-                     find_periodic_element, is_atomic, leaf_orbit_collision,
-                     t_equal)
+                     is_atomic, leaf_orbit_collision, t_equal)
 from .tri import Certificate, Tri, no, register_replayer, unknown, yes
 
 
@@ -35,6 +34,7 @@ def is_cofinal(graph) -> Tri:
     return yes(Certificate("trivial_lattice", {}))
 
 
+@shared_fact
 def line_points(graph, bounds: Bounds = DEFAULT_BOUNDS) -> List[VertexId]:
     """Leaves whose orbit never revisits a vertex.
 
@@ -42,20 +42,9 @@ def line_points(graph, bounds: Bounds = DEFAULT_BOUNDS) -> List[VertexId]:
     pigeonhole, so the answer is always empty there.  On lazy graphs the
     revisit check is bounded by the offset box (bounded inclusion).
     """
-    if graph.is_lazy:
-        verts = graph.sample_vertices(bounds.sample_depth)
-        radius = bounds.offset_radius
-    else:
-        verts = list(graph.vertices)
-        radius = len(graph.vertices) + 1
-    out = []
-    for v in verts:
-        depth = bounds.leaf_depth if graph.is_lazy else None
-        if not is_leaf(graph, v, depth=depth).is_yes:
-            continue
-        if leaf_orbit_collision(graph, v, radius) is None:
-            out.append(v)
-    return out
+    radius = bounds.offset_radius if graph.is_lazy else len(graph.vertices) + 1
+    return [v for v in atoms(graph, bounds)
+            if leaf_orbit_collision(graph, v, radius) is None]
 
 
 def count_line_point_classes(graph, bounds: Bounds = DEFAULT_BOUNDS) -> int:
@@ -81,22 +70,10 @@ def count_line_point_classes(graph, bounds: Bounds = DEFAULT_BOUNDS) -> int:
 
 
 def _orbit_vertices(graph, v: VertexId, radius: int) -> List[VertexId]:
-    k = graph.k
-    seen = {v}
-    frontier = [v]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for i in range(k):
-                out = graph.out_edges(w, i)
-                if len(out) != 1:
-                    raise ValueError(f"{v!r} is not a leaf")
-                s = out[0].source
-                if s not in seen:
-                    seen.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return list(seen)
+    seen = list(walk(graph, [v], radius))
+    if any(len(graph.out_edges(w, i)) != 1 for w in seen for i in range(graph.k)):
+        raise ValueError(f"{v!r} is not a leaf")
+    return seen
 
 
 def socle_vertices(graph, bounds: Bounds = DEFAULT_BOUNDS) -> List[VertexId]:
@@ -116,26 +93,8 @@ def socle_essential(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
         else list(graph.vertices)
     if not verts:
         return unknown("no vertices to check")
-    missing = []
-    for v in verts:
-        seen = {v}
-        frontier = [v]
-        hit = v in pts
-        guard = 0
-        while frontier and not hit and guard < (bounds.sample_depth if graph.is_lazy else len(verts) + 1):
-            nxt = []
-            for w in frontier:
-                for i in range(graph.k):
-                    for e in graph.out_edges(w, i):
-                        if e.source in pts:
-                            hit = True
-                        if e.source not in seen:
-                            seen.add(e.source)
-                            nxt.append(e.source)
-            frontier = nxt
-            guard += 1
-        if not hit:
-            missing.append(v)
+    depth = bounds.sample_depth if graph.is_lazy else len(verts) + 1
+    missing = [v for v in verts if pts.isdisjoint(walk(graph, [v], depth))]
     if not missing:
         cert = Certificate("socle_essential", {"bounded": graph.is_lazy})
         return yes(cert, note="bounded verdict" if graph.is_lazy else "")
@@ -152,15 +111,14 @@ def is_aperiodic(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     certifies yes on any graph without sources; graphs with sources get an
     unknown because the level/orbit machinery loses its footing there.
     """
+    free = acts_freely(graph, bounds)
     if not graph.is_lazy and graph.has_sources():
         note = "graph has sources: aperiodicity verdict withheld"
-        found = find_periodic_element(graph, bounds)
-        if found is not None:
-            a, p = found
-            note += f"; periodic element {a!r} with period {p} exists in the monoid"
+        if free.is_no:  # only the periodic search decides on a graph with sources
+            d = free.certificate.data
+            note += (f"; periodic element {d['element']!r} with period "
+                     f"{d['period']} exists in the monoid")
         return unknown(note)
-
-    free = acts_freely(graph, bounds)
     if free.is_yes:
         return yes(Certificate("free_action", {"inner": free}),
                    note="a free shift action forces aperiodicity")
@@ -263,49 +221,49 @@ def _tri_and(a: Tri, b: Tri) -> Tri:
 
 
 def kp_report(graph, bounds: Bounds = DEFAULT_BOUNDS) -> ClassificationReport:
-    """The full classification summary for one graph."""
-    warnings: List[str] = []
-    has_src = False
-    if not graph.is_lazy:
-        rep = validate(graph)
-        warnings.extend(rep.warnings)
-        has_src = rep.has_sources
-    cofinal = is_cofinal(graph)
-    atomic = is_atomic(graph, bounds)
-    free = acts_freely(graph, bounds)
-    aper = is_aperiodic(graph, bounds)
-    strong = is_strongly_aperiodic(graph, bounds) if not graph.is_lazy and not has_src \
-        else unknown("not computed")
-    simple = _tri_and(cofinal, aper)
-    semi = is_semisimple(graph, bounds)
+    """The full classification summary for one graph; each fact the
+    classifiers share is computed once (see ``kgraph.shared_fact``)."""
+    graph._facts = {}
     try:
-        pts = line_points(graph, bounds)
-        classes = count_line_point_classes(graph, bounds)
-        soc = socle_vertices(graph, bounds)
-        ess = socle_essential(graph, bounds)
-    except ValueError:
-        pts, classes, soc = [], 0, []
-        ess = unknown("line point scan failed")
-    witness = None
-    if free.is_no and free.certificate is not None \
-            and free.certificate.kind == "periodic_pair":
-        d = free.certificate.data
-        witness = (d["element"], tuple(d["period"]))
-    elif has_src or aper.is_unknown:
-        found = find_periodic_element(graph, bounds)
-        if found is not None:
-            witness = found
-    lattice_sets = None
-    if not graph.is_lazy and len(graph.vertices) <= LATTICE_LIMIT:
-        lattice_sets = [tuple(sorted(h, key=repr)) for h in all_hs_subsets(graph)]
-    return ClassificationReport(
-        name=getattr(graph, "name", ""), rank=graph.k, has_sources=has_src,
-        cofinal=cofinal, atomic=atomic, free_action=free, aperiodic=aper,
-        strongly_aperiodic=strong, graded_basic_ideal_simple=cofinal,
-        simple=simple, semisimple=semi, line_points=pts,
-        line_point_classes=classes, socle=soc, socle_essential=ess,
-        atom_vertices=atoms(graph, bounds), periodic_witness=witness,
-        lattice=lattice_sets, warnings=warnings)
+        warnings: List[str] = []
+        has_src = False
+        if not graph.is_lazy:
+            rep = validate(graph)
+            warnings.extend(rep.warnings)
+            has_src = rep.has_sources
+        cofinal = is_cofinal(graph)
+        atomic = is_atomic(graph, bounds)
+        free = acts_freely(graph, bounds)
+        aper = is_aperiodic(graph, bounds)
+        strong = is_strongly_aperiodic(graph, bounds) if not graph.is_lazy and not has_src \
+            else unknown("not computed")
+        simple = _tri_and(cofinal, aper)
+        semi = is_semisimple(graph, bounds)
+        try:
+            pts = line_points(graph, bounds)
+            classes = count_line_point_classes(graph, bounds)
+            soc = socle_vertices(graph, bounds)
+            ess = socle_essential(graph, bounds)
+        except ValueError:
+            pts, classes, soc = [], 0, []
+            ess = unknown("line point scan failed")
+        witness = None
+        if free.is_no and free.certificate.kind == "periodic_pair":
+            d = free.certificate.data
+            witness = (d["element"], tuple(d["period"]))
+        lattice_sets = None
+        if not graph.is_lazy and len(graph.vertices) <= LATTICE_LIMIT:
+            lattice_sets = [tuple(sorted(h, key=repr)) for h in all_hs_subsets(graph)]
+        return ClassificationReport(
+            name=getattr(graph, "name", ""), rank=graph.k, has_sources=has_src,
+            cofinal=cofinal, atomic=atomic, free_action=free, aperiodic=aper,
+            strongly_aperiodic=strong, graded_basic_ideal_simple=cofinal,
+            simple=simple, semisimple=semi, line_points=pts,
+            line_point_classes=classes, socle=soc, socle_essential=ess,
+            atom_vertices=list(atoms(graph, bounds)), periodic_witness=witness,
+            lattice=lattice_sets, warnings=warnings)
+    finally:
+        del graph._facts
 
 
 # ---------------------------------------------------------------------------

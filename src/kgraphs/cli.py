@@ -4,8 +4,8 @@ Commands: validate, eq, classify, gen, export-dot, lattice, closure,
 linepoints.  Structured output (``--format structured``) is a single JSON
 document on stdout; logs and errors go to stderr.
 
-Exit codes: 0 ok/yes, 1 parse error, 2 invalid graph, 3 no, 4 unknown,
-5 unknown under ``--strict``.
+Exit codes: 0 ok/yes, 1 parse or usage error, 2 invalid graph, 3 no,
+4 unknown, 5 unknown under ``--strict``.
 
 Default search bounds may be overridden by environment variables named
 ``KGRAPHS_<FIELD>`` (e.g. ``KGRAPHS_REWRITE=32``).
@@ -45,6 +45,13 @@ def _emit(payload: Dict[str, Any], fmt: str, text_lines: List[str]) -> None:
             print(line)
 
 
+def _count(raw: str) -> int:
+    """A nonnegative integer, the one form every bound and depth takes."""
+    if not raw.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {raw!r}")
+    return int(raw)
+
+
 def bounds_from_env(base: Bounds = DEFAULT_BOUNDS) -> Bounds:
     """``base`` with KGRAPHS_<FIELD> overrides; a value that is not a
     nonnegative integer is a parse error."""
@@ -53,9 +60,10 @@ def bounds_from_env(base: Bounds = DEFAULT_BOUNDS) -> Bounds:
         name = f"KGRAPHS_{f.upper()}"
         raw = os.environ.get(name)
         if raw is not None:
-            if not raw.strip().isdecimal():
-                raise docio.ParseError(f"{name} must be a nonnegative integer, got {raw!r}")
-            overrides[f] = int(raw)
+            try:
+                overrides[f] = _count(raw)
+            except argparse.ArgumentTypeError as exc:
+                raise docio.ParseError(f"{name} {exc}") from None
     return replace(base, **overrides) if overrides else base
 
 
@@ -256,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph")
     sp.add_argument("a")
     sp.add_argument("b")
-    sp.add_argument("--bound", type=int, default=None)
+    sp.add_argument("--bound", type=_count, default=None)
     sp.add_argument("--mode", choices=["auto", "exact", "rewrite"],
                     default="auto")
     common(sp)
@@ -264,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="full property report")
     sp.add_argument("graph")
-    sp.add_argument("--bound", type=int, default=None)
-    sp.add_argument("--depth", type=int, default=None)
+    sp.add_argument("--bound", type=_count, default=None)
+    sp.add_argument("--depth", type=_count, default=None)
     sp.add_argument("--strict", action="store_true")
     common(sp)
     sp.set_defaults(fn=cmd_classify)
@@ -290,13 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("closure", help="hereditary saturated closure")
     sp.add_argument("graph")
     sp.add_argument("vertices", nargs="+")
-    sp.add_argument("--depth", type=int, default=6)
+    sp.add_argument("--depth", type=_count, default=6)
     common(sp)
     sp.set_defaults(fn=cmd_closure)
 
     sp = sub.add_parser("linepoints", help="sampled line points")
     sp.add_argument("graph")
-    sp.add_argument("--depth", type=int, default=None)
+    sp.add_argument("--depth", type=_count, default=None)
     common(sp)
     sp.set_defaults(fn=cmd_linepoints)
 
@@ -304,7 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # after --help, or argparse's 2 for a usage error
+        return EXIT_PARSE if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except (OSError, docio.ParseError) as exc:

@@ -12,9 +12,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from . import degrees as dg
 from .kgraph import Edge, KGraph, Square
 from .monoid import TElement
 
@@ -79,15 +78,17 @@ def graph_from_document(doc: Dict[str, Any]) -> KGraph:
         squares = []
         for s in doc["squares"]:
             lo, hi = tuple(map(str, s["lo"])), tuple(map(str, s["hi"]))
+            if len(lo) != 2 or len(hi) != 2:
+                raise ParseError(f"square {s!r} needs two edge ids on each side")
             for eid in lo + hi:
                 if eid not in ids:
                     raise ParseError(f"square references unknown edge {eid!r}")
             squares.append(Square(lo, hi))
+        return KGraph(k, vertices, edges, squares, name=str(doc.get("name", "")))
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # duplicate ids included
         raise ParseError(f"malformed graph document: {exc}") from exc
-    return KGraph(k, vertices, edges, squares, name=str(doc.get("name", "")))
 
 
 def dump_graph(graph: KGraph) -> str:

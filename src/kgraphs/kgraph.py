@@ -15,12 +15,15 @@ A vertex is a "source" in direction i when it has no color-i out-edge.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Collection, Dict, Hashable, Iterable, Iterator,
+                    List, Optional, Sequence, Tuple)
 
 from . import degrees as dg
 from . import intlinalg as il
-from .tri import Certificate, Tri, no, register_replayer, unknown, yes
+from .tri import Certificate, Tri, no, register_replayer, yes
 
 VertexId = Hashable
 
@@ -226,25 +229,59 @@ class LazyKGraph:
         Breadth-first and deterministic; the result is the finite window that
         bounded operations work over.
         """
-        seen: Dict[VertexId, None] = {}
-        frontier = list(self.roots)
-        for v in frontier:
-            seen[v] = None
-        for _ in range(depth):
-            nxt = []
-            for v in frontier:
-                for i in range(self.k):
-                    for e in self.out_edges(v, i):
-                        if e.source not in seen:
-                            seen[e.source] = None
-                            nxt.append(e.source)
-            if not nxt:
-                break
-            frontier = nxt
-        return list(seen)
+        return list(walk(self, self.roots, depth))
 
 
 GraphLike = Any  # KGraph or LazyKGraph; duck-typed throughout.
+
+
+def walk(g: GraphLike, starts: Iterable[VertexId], depth: Optional[int] = None,
+         within: Optional[Collection[VertexId]] = None) -> Iterator[VertexId]:
+    """Breadth-first reachability along out-edges, from range to source.
+
+    Yields the distinct ``starts``, then each vertex when first reached, layer
+    by layer, at most ``depth`` edges out and (past the starts) only inside
+    ``within``.  It is lazy: a consumer that stops early stops the walk.
+    """
+    frontier = list(dict.fromkeys(starts))
+    seen = set(frontier)
+    yield from frontier
+    steps = 0
+    while frontier and (depth is None or steps < depth):
+        nxt = []
+        for w in frontier:
+            for i in range(g.k):
+                for e in g.out_edges(w, i):
+                    s = e.source
+                    if s not in seen and (within is None or s in within):
+                        seen.add(s)
+                        nxt.append(s)
+                        yield s
+        frontier = nxt
+        steps += 1
+
+
+def shared_fact(fn: Callable) -> Callable:
+    """Compute ``fn(graph, ...)`` once per ``classify.kp_report`` call.
+
+    The report opens ``graph._facts`` for its length; while that dict exists
+    a result is kept there under ``fn`` and its bound arguments.  Otherwise
+    ``fn`` runs as written, so direct calls and replay always recompute.
+    """
+    sig = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def shared(graph, *args, **kwargs):
+        facts = getattr(graph, "_facts", None)
+        if facts is None:
+            return fn(graph, *args, **kwargs)
+        bound = sig.bind(graph, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn, *bound.args[1:])
+        if key not in facts:
+            facts[key] = fn(graph, *args, **kwargs)
+        return facts[key]
+    return shared
 
 
 # ---------------------------------------------------------------------------
@@ -486,23 +523,7 @@ def _replay_leaf_branch(g, tri: Tri) -> bool:
     if len(g.out_edges(w, i)) != d["out_degree"]:
         return False
     # the witness must actually be reachable from the starting vertex
-    start = d["vertex"]
-    seen = {start}
-    frontier = [start]
-    guard = 0
-    while frontier and guard < 10000:
-        if w in seen:
-            return True
-        nxt = []
-        for u in frontier:
-            for c in range(g.k):
-                for e in g.out_edges(u, c):
-                    if e.source not in seen:
-                        seen.add(e.source)
-                        nxt.append(e.source)
-        frontier = nxt
-        guard += 1
-    return w in seen
+    return w in walk(g, [d["vertex"]], depth=10000)
 
 
 @register_replayer("leaf_walk")

@@ -15,14 +15,13 @@ recovered from the vertices whose generators it contains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import degrees as dg
 from . import intlinalg as il
-from .kgraph import GraphLike, VertexId
+from .kgraph import GraphLike, VertexId, shared_fact, walk
 from .monoid import TElement, common_level, push_to_level
-from .tri import Certificate, Tri, no, register_replayer, unknown, yes
+from .tri import Certificate, Tri, no, register_replayer, yes
 
 
 # ---------------------------------------------------------------------------
@@ -92,20 +91,7 @@ def hereditary_closure(graph: GraphLike, xs: Iterable[VertexId],
     On a lazy graph a ``universe`` (typically a sampled window) clips the
     walk, making the result a truncated closure.
     """
-    allowed = None if universe is None else set(universe)
-    out = set(xs)
-    frontier = list(out)
-    while frontier:
-        v = frontier.pop()
-        for i in range(graph.k):
-            for e in graph.out_edges(v, i):
-                s = e.source
-                if allowed is not None and s not in allowed:
-                    continue
-                if s not in out:
-                    out.add(s)
-                    frontier.append(s)
-    return out
+    return set(walk(graph, xs, within=None if universe is None else set(universe)))
 
 
 def _source_sets(graph: GraphLike, v: VertexId, depth: int) -> List[Set[VertexId]]:
@@ -177,6 +163,7 @@ def is_saturated(graph, h: Iterable[VertexId],
 LATTICE_LIMIT = 20  # vertices; the enumeration below visits 2^|V| subsets
 
 
+@shared_fact
 def all_hs_subsets(graph) -> List[FrozenSet[VertexId]]:
     """Every hereditary saturated subset, smallest first (finite graphs)."""
     if graph.is_lazy:

@@ -21,12 +21,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import degrees as dg
 from . import intlinalg as il
 from . import rewrite as rw
-from .kgraph import GraphLike, VertexId, is_leaf, skew_product
+from .kgraph import GraphLike, VertexId, is_leaf, shared_fact, skew_product
 from .tri import Certificate, Tri, no, register_replayer, unknown, yes
 
 Vec = Tuple[int, ...]
@@ -322,6 +322,7 @@ def is_atom(graph, a: TElement, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     return leaf
 
 
+@shared_fact
 def atoms(graph, bounds: Bounds = DEFAULT_BOUNDS) -> List[VertexId]:
     """Leaf vertices: their generators v(n) enumerate all atoms."""
     if graph.is_lazy:
@@ -332,6 +333,7 @@ def atoms(graph, bounds: Bounds = DEFAULT_BOUNDS) -> List[VertexId]:
             if is_leaf(graph, v, depth=bounds.leaf_depth if graph.is_lazy else None).is_yes]
 
 
+@shared_fact
 def is_atomic(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     """Is every nonzero element a sum of atoms?
 
@@ -343,7 +345,7 @@ def is_atomic(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
 
     if graph.is_lazy:
         sampled = graph.sample_vertices(bounds.sample_depth)
-        leaves = [v for v in sampled if is_leaf(graph, v, depth=bounds.leaf_depth).is_yes]
+        leaves = atoms(graph, bounds)
         if not sampled:
             return unknown("no vertices sampled")
         if not leaves:
@@ -352,7 +354,7 @@ def is_atomic(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
                                    "n_sampled": len(sampled), "bounded": True}),
                       note="no leaf among sampled vertices, so no atoms exist "
                            "in the sampled window (bounded verdict)")
-        if all(is_leaf(graph, v, depth=bounds.leaf_depth).is_yes for v in sampled):
+        if len(leaves) == len(sampled):
             return yes(Certificate("all_leaves_sampled",
                                    {"sample_depth": bounds.sample_depth,
                                     "n_sampled": len(sampled), "bounded": True}),
@@ -360,7 +362,7 @@ def is_atomic(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
         return unknown("sampled window is mixed; closure not computable lazily")
     if graph.has_sources():
         return unknown("atomicity criterion needs a graph without sources")
-    leaf_set = atoms(graph)
+    leaf_set = atoms(graph, bounds)
     closure = saturated_hereditary_closure(graph, leaf_set)
     missing = [v for v in graph.vertices if v not in closure]
     if not missing:
@@ -521,6 +523,7 @@ def find_periodic_element(graph, bounds: Bounds = DEFAULT_BOUNDS,
     return None
 
 
+@shared_fact
 def acts_freely(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     """Does the shift act freely (no nonzero element fixed by a nonzero shift)?
 
@@ -545,7 +548,7 @@ def acts_freely(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
             witness = _single_vertex_periodic_pair(graph, counts)
             return no(Certificate("periodic_pair",
                                   {"element": witness[0], "period": witness[1]}))
-        leaf_set = atoms(graph)
+        leaf_set = atoms(graph, bounds)
         if leaf_set:
             v = leaf_set[0]
             hit = leaf_orbit_collision(graph, v, len(graph.vertices) + 1)

@@ -1,8 +1,14 @@
-from kgraphs import families
+from itertools import islice
+
+import pytest
+
+from kgraphs import classify, families, kgraph, lattice, monoid
 from kgraphs.classify import (count_line_point_classes, is_aperiodic,
                               is_cofinal, is_semisimple, is_strongly_aperiodic,
                               kp_report, line_points, socle_essential,
                               socle_vertices)
+from kgraphs.kgraph import walk
+from kgraphs.lattice import hereditary_closure
 from kgraphs.monoid import DEFAULT_BOUNDS
 from kgraphs.tri import replay
 
@@ -130,3 +136,139 @@ def test_lattice_limit_gives_unknown():
     g = families.finite_grid(2, (4, 4))  # 25 vertices
     for tri in (is_cofinal(g), is_strongly_aperiodic(g, DEFAULT_BOUNDS)):
         assert tri.is_unknown and "20-vertex lattice limit" in tri.note
+
+
+# ---------------------------------------------------------------------------
+# one report computes each shared fact once
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Record the arguments of each call of ``name`` at its binding sites."""
+    calls = []
+    for mod in modules:
+        real = getattr(mod, name)
+
+        def counted(*args, real=real, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_report_tests_each_leaf_once(monkeypatch, grid2):
+    calls = _count_calls(monkeypatch, "is_leaf", kgraph, monoid, classify)
+    kp_report(grid2, DEFAULT_BOUNDS)
+    sampled = grid2.sample_vertices(DEFAULT_BOUNDS.sample_depth)
+    assert sorted((v for _, v, *_ in calls), key=repr) == sorted(sampled, key=repr)
+
+
+def test_report_runs_one_periodic_search(monkeypatch, fan3):
+    calls = _count_calls(monkeypatch, "t_equal", monoid, classify)
+    r = kp_report(fan3, DEFAULT_BOUNDS)
+    assert 0 < len(calls) <= 2000  # one search's budget on a graph with sources
+    assert r.aperiodic.is_unknown and r.periodic_witness is None
+
+
+def test_report_enumerates_lattice_once(monkeypatch, cycle4):
+    calls = _count_calls(monkeypatch, "is_hereditary", lattice)
+    r = kp_report(cycle4, DEFAULT_BOUNDS)
+    assert sum(g is cycle4 for g, _ in calls) == 2 ** len(cycle4.vertices)
+    assert r.lattice == [(), tuple(sorted(cycle4.vertices))]
+
+
+def test_report_facts_do_not_outlive_the_call(monkeypatch, grid2):
+    calls = _count_calls(monkeypatch, "is_leaf", monoid)
+    first = kp_report(grid2, DEFAULT_BOUNDS)
+    assert not hasattr(grid2, "_facts")
+    once = len(calls)
+    second = kp_report(grid2, DEFAULT_BOUNDS)
+    assert len(calls) == 2 * once  # recomputed, not read back
+    assert verdicts(first) == verdicts(second)
+    assert first.atom_vertices == second.atom_vertices
+
+    def broken(graph):
+        raise RuntimeError("classifier failed")
+    monkeypatch.setattr(classify, "is_cofinal", broken)
+    with pytest.raises(RuntimeError):
+        kp_report(grid2, DEFAULT_BOUNDS)
+    assert not hasattr(grid2, "_facts")
+
+
+def test_fact_key_ignores_how_bounds_are_passed(cycle4):
+    cycle4._facts = {}
+    try:
+        first = monoid.atoms(cycle4)
+        assert monoid.atoms(cycle4, DEFAULT_BOUNDS) is first
+        assert monoid.atoms(cycle4, bounds=DEFAULT_BOUNDS) is first
+        assert len(cycle4._facts) == 1
+    finally:
+        del cycle4._facts
+    assert monoid.atoms(cycle4) is not first  # no memo outside a report
+
+
+def test_atomic_report_keeps_its_leaf_list(loop_pair_tail):
+    r = kp_report(loop_pair_tail, DEFAULT_BOUNDS)
+    leaves = r.atomic.certificate.data["leaves"]
+    assert r.atom_vertices == leaves and r.atom_vertices is not leaves
+
+
+# ---------------------------------------------------------------------------
+# the reachability walk
+
+
+def _closure_by_stack(g, xs, universe=None):
+    """Reference: the depth-first closure loop ``walk`` replaced."""
+    out = set(xs)
+    stack = list(out)
+    while stack:
+        v = stack.pop()
+        for i in range(g.k):
+            for e in g.out_edges(v, i):
+                if (universe is None or e.source in universe) and e.source not in out:
+                    out.add(e.source)
+                    stack.append(e.source)
+    return out
+
+
+def _window_by_layers(g, depth):
+    """Reference: the layered sampling loop ``walk`` replaced."""
+    seen = dict.fromkeys(g.roots)
+    frontier = list(seen)
+    for _ in range(depth):
+        nxt = []
+        for v in frontier:
+            for i in range(g.k):
+                for e in g.out_edges(v, i):
+                    if e.source not in seen:
+                        seen[e.source] = None
+                        nxt.append(e.source)
+        frontier = nxt
+    return list(seen)
+
+
+def test_walk_matches_reference_on_finite_families():
+    for name, make in families.FAMILIES.items():
+        g = make()
+        if g.is_lazy:
+            continue
+        for v in g.vertices:
+            assert set(walk(g, [v])) == _closure_by_stack(g, {v}), (name, v)
+            assert hereditary_closure(g, {v}) == _closure_by_stack(g, {v})
+        assert set(walk(g, g.vertices)) == set(g.vertices)
+
+
+def test_walk_matches_reference_on_lazy_windows(grid2, bratteli):
+    for g in (grid2, bratteli):
+        for depth in range(5):
+            assert list(walk(g, g.roots, depth)) == _window_by_layers(g, depth)
+            assert g.sample_vertices(depth) == _window_by_layers(g, depth)
+        window = set(g.sample_vertices(3))
+        for v in window:
+            assert set(walk(g, [v], within=window)) == _closure_by_stack(g, {v}, window)
+
+
+def test_walk_stops_with_its_consumer(monkeypatch, bratteli):
+    calls = _count_calls(monkeypatch, "out_edges", bratteli)
+    first = list(islice(walk(bratteli, bratteli.roots), 5))
+    assert len(first) == 5
+    assert len(calls) <= 5 * bratteli.k  # an unbounded walk, cut at 5 vertices

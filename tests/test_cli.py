@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgraphs import cli, docio, families
 from kgraphs.monoid import DEFAULT_BOUNDS, t_equal
@@ -152,3 +159,131 @@ def test_eq_faults_end_in_exit_codes(monkeypatch, capsys):
         assert code == cli.EXIT_PARSE and "KGRAPHS_REWRITE" in err
         code, _, _ = run(["classify", "cycle4"], capsys)
         assert code == cli.EXIT_PARSE
+
+
+def test_flags_take_only_nonnegative_integers(capsys):
+    for argv in (["classify", "fan3", "--bound", "-1"],
+                 ["classify", "cycle4", "--depth", "1.5"],
+                 ["eq", "cycle4", "u(0,0)", "u(4,0)", "--bound", "x"],
+                 ["closure", "cycle4", "u", "--depth", "-2"],
+                 ["linepoints", "bratteli", "--depth", "-1"]):
+        code, _, err = run(argv, capsys)
+        assert code == cli.EXIT_PARSE, argv
+        assert "must be a nonnegative integer" in err
+    code, _, _ = run(["linepoints", "grid2", "--depth", "0"], capsys)
+    assert code == cli.EXIT_OK
+
+
+def test_usage_errors_exit_as_parse_errors(capsys):
+    for argv in (["eq", "cycle4"], ["no-such-command"], [],
+                 ["classify", "cycle4", "--no-such-flag"],
+                 ["eq", "cycle4", "u(0,0)", "u(0,0)", "--mode", "fast"]):
+        code, _, err = run(argv, capsys)
+        assert code == cli.EXIT_PARSE, argv
+        assert "usage:" in err
+    for argv in (["--help"], ["classify", "--help"]):
+        code, out, _ = run(argv, capsys)
+        assert code == cli.EXIT_OK and "usage:" in out
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input ends in a documented exit code
+
+_JUNK = st.sampled_from([None, "", "x", -1, 0, 1.5, 3, True, [], {}, ["x"],
+                         {"id": "x"}, "v(0,0)"])
+
+
+@st.composite
+def _broken_documents(draw):
+    """A dumped random graph with one field dropped, retyped or corrupted."""
+    doc = docio.graph_to_document(families.random_2graph(draw(st.integers(0, 39))))
+    holder = draw(st.sampled_from([doc, *doc["edges"], *doc["squares"]]))
+    key = draw(st.sampled_from(sorted(holder)))
+    how = draw(st.sampled_from(["drop", "retype", "corrupt"]))
+    if how == "drop":
+        del holder[key]
+    elif how == "retype" or not isinstance(holder[key], list) or not holder[key]:
+        holder[key] = draw(_JUNK)
+    else:
+        items = holder[key]
+        i = draw(st.integers(0, len(items) - 1))
+        op = draw(st.sampled_from(["duplicate", "delete", "replace", "append"]))
+        if op == "duplicate":
+            items.append(items[i])
+        elif op == "delete":
+            del items[i]
+        elif op == "replace":
+            items[i] = draw(_JUNK)
+        else:
+            items.append(draw(_JUNK))
+    return json.dumps(doc)
+
+
+_FUZZ_GRAPHS = {"cycle4": ["u", "z", "w", "v"], "looptail": ["a", "b"],
+                "fan3": ["u", "v", "w", "x"]}
+
+
+def _vertex_names(graph):
+    return st.sampled_from(_FUZZ_GRAPHS[graph] + ["nope", "", "u v", "(", "0"])
+
+
+@st.composite
+def _element_texts(draw, graph):
+    """Element strings from the element grammar, with junk mixed in."""
+    k = 3 if graph == "fan3" else 2
+
+    def term():
+        n = draw(st.lists(st.integers(-3, 3), min_size=k - 1, max_size=k + 1)
+                 | st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        text = f"{draw(_vertex_names(graph))}({','.join(map(str, n))})"
+        coeff = draw(st.sampled_from(["", "*1", "*3", "*0", "*x"]))
+        return text + coeff
+
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["0", "", "+", "u(", "u(0,0", "u()", "*2"])
+                    | st.text(max_size=8))
+    return " + ".join(term() for _ in range(draw(st.integers(1, 2))))
+
+
+_FIELDS = [f"KGRAPHS_{f.upper()}" for f in DEFAULT_BOUNDS.__dataclass_fields__]
+
+
+@st.composite
+def _env_values(draw):
+    names = draw(st.lists(st.sampled_from(_FIELDS), max_size=2, unique=True))
+    values = st.integers(0, 8).map(str) | st.sampled_from(["-1", "-7", "x", "", " 3", "1.5", "1e3"])
+    return {name: draw(values) for name in names}
+
+
+@st.composite
+def _cli_inputs(draw, path):
+    kind = draw(st.sampled_from(["validate", "eq", "closure"]))
+    if kind == "validate":
+        return ["validate", path], {}, draw(_broken_documents())
+    graph = draw(st.sampled_from(sorted(_FUZZ_GRAPHS)))
+    if kind == "eq":
+        argv = ["eq", graph, draw(_element_texts(graph)), draw(_element_texts(graph))]
+        if draw(st.booleans()):
+            argv += ["--bound", draw(st.sampled_from(["0", "2", "-1", "x"]))]
+        return argv, draw(_env_values()), None
+    names = draw(st.lists(_vertex_names(graph), min_size=1, max_size=3))
+    depth = draw(st.sampled_from(["0", "3", "-1", "x"]))
+    return ["closure", graph, *names, "--depth", depth], {}, None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzz_cli_ends_in_an_exit_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.json")
+        argv, env, text = data.draw(_cli_inputs(path))
+        if text is not None:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for name in _FIELDS:
+                os.environ.pop(name, None)
+            os.environ.update(env)
+            code = cli.main(argv)
+    assert code in range(6), (argv, env)
