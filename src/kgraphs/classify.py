@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from .kgraph import VertexId, is_leaf, quotient_graph, shared_fact, validate, walk
-from .lattice import LATTICE_LIMIT, all_hs_subsets, saturated_hereditary_closure
+from .lattice import (LATTICE_LIMIT, all_hs_subsets, mask_closure,
+                      saturated_hereditary_closure)
 from .monoid import (Bounds, DEFAULT_BOUNDS, TElement, act, acts_freely, atoms,
                      is_atomic, leaf_orbit_collision, t_equal)
 from .tri import Certificate, Tri, no, register_replayer, unknown, yes
@@ -272,8 +273,12 @@ def kp_report(graph, bounds: Bounds = DEFAULT_BOUNDS) -> ClassificationReport:
 
 @register_replayer("trivial_lattice")
 def _replay_trivial_lattice(graph, tri: Tri) -> bool:
-    subsets = all_hs_subsets(graph)
-    return all(not h or h == frozenset(graph.vertices) for h in subsets)
+    # every nonempty hereditary saturated set contains a one-vertex closure
+    if graph.is_lazy:
+        return False
+    close = mask_closure(graph)
+    full = (1 << len(graph.vertices)) - 1
+    return all(close(1 << j) == full for j in range(len(graph.vertices)))
 
 
 @register_replayer("proper_hs")

@@ -72,11 +72,20 @@ def _load(path: str) -> KGraph:
         return docio.load_graph(fh.read())
 
 
+class InvalidGraph(Exception):
+    """A graph document that parses but is not a k-graph."""
+
+
 def _resolve_graph(path: str):
-    """A file path, or the name of a built-in family (lazy ones included)."""
+    """A file path, or the name of a built-in family (lazy ones included).
+    A document that ``validate`` rejects raises :class:`InvalidGraph`."""
     if path in families.FAMILIES:
         return families.FAMILIES[path]()
-    return _load(path)
+    g = _load(path)
+    errors = validate(g).errors
+    if errors:
+        raise InvalidGraph("; ".join(errors))
+    return g
 
 
 def _vertex_ids(g, names: List[str], depth: int) -> List[Any]:
@@ -321,6 +330,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (OSError, docio.ParseError) as exc:
         _log(f"parse error: {exc}")
         return EXIT_PARSE
+    except InvalidGraph as exc:
+        _log(f"invalid graph: {exc}")
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

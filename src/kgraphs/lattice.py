@@ -7,6 +7,13 @@ relevant reachability data is the finite commutative semigroup of boolean
 matrices generated by the supports of the color matrices, which replaces the
 unbounded quantifier over degrees.
 
+On a finite graph the smallest hereditary saturated set containing a vertex
+set is computed on vertex bitmasks, and the lattice of all hereditary
+saturated sets is enumerated as the closed sets of that closure: starting
+from the closure of the empty set, each closed set C yields the closures of
+C plus one vertex, so the work grows with the lattice, not with 2^|V|
+(Ganter & Wille, *Formal Concept Analysis*, 1999).
+
 Hereditary saturated sets correspond to order ideals of the graded monoid:
 H generates the ideal of elements that push inside H, and an ideal is
 recovered from the vertices whose generators it contains.
@@ -15,7 +22,7 @@ recovered from the vertices whose generators it contains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import degrees as dg
 from . import intlinalg as il
@@ -132,18 +139,30 @@ def saturated_hereditary_closure(graph: GraphLike, xs: Iterable[VertexId],
             if not added:
                 return x
 
+    closed = mask_closure(graph)(_mask(graph, xs))
+    return {v for j, v in enumerate(graph.vertices) if closed >> j & 1}
+
+
+def mask_closure(graph) -> Callable[[int], int]:
+    """The saturated hereditary closure of a finite graph on vertex bitmasks.
+
+    Rows of ``any_reach`` are hereditary, so OR-ing the rows of a mask's bits
+    closes it hereditarily; every vertex that then saturates adds its own
+    row, until nothing changes.
+    """
     reach = BooleanReach(graph)
-    x = hereditary_closure(graph, xs)
-    while True:
-        added = False
-        xmask = _mask(graph, x)
-        for u in graph.vertices:
-            if u not in x and reach.saturates(graph.vertex_index[u], xmask):
-                x |= hereditary_closure(graph, {u})
-                xmask = _mask(graph, x)
-                added = True
-        if not added:
-            return x
+    down = reach.any_reach()
+
+    def close(x: int) -> int:
+        x = il.bool_vecmat(x, down)
+        while True:
+            before = x
+            for u, row in enumerate(down):
+                if not x >> u & 1 and reach.saturates(u, x):
+                    x |= row
+            if x == before:
+                return x
+    return close
 
 
 def is_hereditary(graph, h: Iterable[VertexId]) -> bool:
@@ -160,7 +179,7 @@ def is_saturated(graph, h: Iterable[VertexId],
                    for u in graph.vertices if u not in hs)
 
 
-LATTICE_LIMIT = 20  # vertices; the enumeration below visits 2^|V| subsets
+LATTICE_LIMIT = 20  # vertices; the lattice can have up to 2^|V| sets
 
 
 @shared_fact
@@ -170,13 +189,19 @@ def all_hs_subsets(graph) -> List[FrozenSet[VertexId]]:
         raise ValueError("the full lattice needs a finite graph")
     if len(graph.vertices) > LATTICE_LIMIT:
         raise ValueError(f"lattice enumeration is limited to {LATTICE_LIMIT} vertices")
-    reach = BooleanReach(graph)
-    out = []
-    verts = list(graph.vertices)
-    for mask in range(1 << len(verts)):
-        h = frozenset(v for j, v in enumerate(verts) if mask >> j & 1)
-        if is_hereditary(graph, h) and is_saturated(graph, h, reach):
-            out.append(h)
+    close = mask_closure(graph)
+    verts = graph.vertices
+    found = {close(0)}
+    todo = list(found)
+    while todo:
+        c = todo.pop()
+        for j in range(len(verts)):
+            if not c >> j & 1:
+                d = close(c | 1 << j)
+                if d not in found:
+                    found.add(d)
+                    todo.append(d)
+    out = [frozenset(v for j, v in enumerate(verts) if m >> j & 1) for m in found]
     return sorted(out, key=lambda h: (len(h), sorted(map(repr, h))))
 
 

@@ -11,9 +11,11 @@ every element pushes to a vector at any common level t, pushing commutes
 with the defining relations, and two elements agree exactly when some
 further push A_m equalizes their level vectors.  When every color matrix
 has full rank the push maps are injective, so m = 0 already decides (exact
-mode).  Otherwise the equalizer search is bounded and the negative side
-falls back to rewriting on the degree skew product, which is also the
-route for graphs with sources and for lazy graphs.
+mode).  Otherwise the decisive exponent m* = (|V|, ..., |V|) decides: the
+difference of the level vectors is pushed through each color matrix |V|
+times, a nonzero result is a "no", and only a "yes" scans small exponents
+for the smallest equalizer.  Graphs with sources and lazy graphs go to
+rewriting on the degree skew product, unless a lazy family has graded keys.
 """
 
 from __future__ import annotations
@@ -250,19 +252,32 @@ def _t_equal_level(graph, a: TElement, b: TElement, mode: str,
         return no(Certificate("exact_level", {"a": a, "b": b, "level": t}))
     xv = x.vector(graph.vertices)
     yv = y.vector(graph.vertices)
+    # Decisive exponent first.  The left kernel of A_i^j is stable for
+    # j >= |V|, and the A_i commute, so x - y dies under some A_m exactly
+    # when it dies under A_m* with m* = (|V|, ..., |V|): a "no" there ends
+    # the question, and only a "yes" scans for the smallest equalizer.
+    mstar = (len(graph.vertices),) * graph.k
+    if _differ_at_mstar(graph, xv, yv):
+        return no(Certificate("kernel_stable", {"a": a, "b": b, "level": t, "m": mstar}))
     scan_cap = min(bounds.push, graph.k * len(graph.vertices) - 1)
     for m in _equalizer_exponents(graph.k, scan_cap):
         am = graph.coord_matrix(m)
         if il.vecmat(xv, am) == il.vecmat(yv, am):
             return yes(Certificate("equalizer", {"a": a, "b": b, "level": t, "m": m}))
-    # Decisive exponent: with B = A_1...A_k, the left-kernels of B^j stabilize
-    # within |vertices| steps, and any equalizing exponent pushes up to a
-    # diagonal one, so the diagonal (|V|, ..., |V|) settles the question.
-    mstar = (len(graph.vertices),) * graph.k
-    am = graph.coord_matrix(mstar)
-    if il.vecmat(xv, am) == il.vecmat(yv, am):
-        return yes(Certificate("equalizer", {"a": a, "b": b, "level": t, "m": mstar}))
-    return no(Certificate("kernel_stable", {"a": a, "b": b, "level": t, "m": mstar}))
+    return yes(Certificate("equalizer", {"a": a, "b": b, "level": t, "m": mstar}))
+
+
+def _differ_at_mstar(graph, xv: Sequence[int], yv: Sequence[int]) -> bool:
+    """Is (x - y) A_m* nonzero, m* = (|V|, ..., |V|)?  The difference is
+    pushed one color matrix at a time and the push stops once it is zero."""
+    d = tuple(p - q for p, q in zip(xv, yv))
+    for i in range(graph.k):
+        a = graph.color_matrix(i)
+        for _ in graph.vertices:
+            if not any(d):
+                return False
+            d = il.vecmat(d, a)
+    return any(d)
 
 
 def _t_equal_rewrite(graph, a: TElement, b: TElement, bounds: Bounds) -> Tri:
@@ -679,8 +694,7 @@ def _replay_kernel_stable(graph, tri: Tri) -> bool:
         return False
     xv = push_to_level(graph, d["a"], d["level"]).vector(graph.vertices)
     yv = push_to_level(graph, d["b"], d["level"]).vector(graph.vertices)
-    am = graph.coord_matrix(d["m"])
-    return il.vecmat(xv, am) != il.vecmat(yv, am)
+    return _differ_at_mstar(graph, xv, yv)
 
 
 @register_replayer("order_equalizer")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kgraphs import families
@@ -46,3 +48,18 @@ def grid2():
 @pytest.fixture
 def bratteli():
     return families.rank2_bratteli()
+
+
+@pytest.fixture
+def skeleton_pullbacks():
+    """Pullbacks of seeded digraphs on 5 to 16 vertices, vertex i having
+    1 + i % 2 out-arrows in the range sense: sizes beyond the fixtures,
+    some of them with singular color matrices and nontrivial lattices."""
+    graphs = []
+    for n in range(5, 17):
+        rng = random.Random(n)
+        verts = [f"v{i}" for i in range(n)]
+        arrows = [(f"a{i}.{j}", v, rng.choice(verts))
+                  for i, v in enumerate(verts) for j in range(1 + i % 2)]
+        graphs.append(families.pullback_2graph(verts, arrows, name=f"pullback{n}"))
+    return graphs

@@ -10,7 +10,7 @@ from kgraphs.classify import (count_line_point_classes, is_aperiodic,
 from kgraphs.kgraph import walk
 from kgraphs.lattice import hereditary_closure
 from kgraphs.monoid import DEFAULT_BOUNDS
-from kgraphs.tri import replay
+from kgraphs.tri import Certificate, no, replay
 
 
 def verdicts(report):
@@ -170,10 +170,32 @@ def test_report_runs_one_periodic_search(monkeypatch, fan3):
 
 
 def test_report_enumerates_lattice_once(monkeypatch, cycle4):
-    calls = _count_calls(monkeypatch, "is_hereditary", lattice)
+    enumerations = []
+
+    def enumerate_lattice(graph, real=lattice.all_hs_subsets.__wrapped__):
+        enumerations.append(graph)
+        return real(graph)
+    shared = kgraph.shared_fact(enumerate_lattice)
+    for mod in (lattice, classify):
+        monkeypatch.setattr(mod, "all_hs_subsets", shared)
     r = kp_report(cycle4, DEFAULT_BOUNDS)
-    assert sum(g is cycle4 for g, _ in calls) == 2 ** len(cycle4.vertices)
+    assert enumerations == [cycle4]
     assert r.lattice == [(), tuple(sorted(cycle4.vertices))]
+
+
+def test_lattice_and_kernel_certificates_replay_apart(cycle4, looptail,
+                                                     loop_pair_tail):
+    cofinal = is_cofinal(cycle4)
+    assert cofinal.certificate.kind == "trivial_lattice" and replay(cycle4, cofinal)
+    assert not replay(looptail, cofinal)  # {b} is a proper closed set there
+    u = monoid.TElement.gen("u", (0, 0))
+    unequal = monoid.t_equal(loop_pair_tail, u, u + u)
+    assert unequal.certificate.kind == "kernel_stable"
+    assert replay(loop_pair_tail, unequal)
+    d = unequal.certificate.data
+    for tampered in ({**d, "m": (1, 1)}, {**d, "b": monoid.TElement.gen("v", (0, 0))}):
+        forged = no(Certificate("kernel_stable", tampered))
+        assert not replay(loop_pair_tail, forged)
 
 
 def test_report_facts_do_not_outlive_the_call(monkeypatch, grid2):

@@ -161,6 +161,26 @@ def test_eq_faults_end_in_exit_codes(monkeypatch, capsys):
         assert code == cli.EXIT_PARSE
 
 
+def test_invalid_documents_exit_2(tmp_path, capsys):
+    pair_tail = docio.graph_to_document(families.loop_pair_tail())
+    del pair_tail["squares"][0]
+    cycle4 = docio.graph_to_document(families.cycle_pullback())
+    cycle4["squares"] = []
+    paths = {}
+    for name, doc in (("pair_tail", pair_tail), ("cycle4", cycle4)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    for argv in (["validate", str(paths["pair_tail"])],
+                 ["classify", str(paths["pair_tail"])],
+                 ["eq", str(paths["pair_tail"]), "u(0,0)", "u(1,0)"],
+                 ["lattice", str(paths["pair_tail"])],
+                 ["classify", str(paths["cycle4"])]):
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_INVALID, argv
+        if argv[0] != "validate":
+            assert out == "" and err.startswith("invalid graph: "), argv
+
+
 def test_flags_take_only_nonnegative_integers(capsys):
     for argv in (["classify", "fan3", "--bound", "-1"],
                  ["classify", "cycle4", "--depth", "1.5"],

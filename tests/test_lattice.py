@@ -10,11 +10,23 @@ from kgraphs.monoid import TElement
 from kgraphs.tri import replay
 
 
+def brute_hs_subsets(graph):
+    """Oracle: filter all 2^|V| vertex subsets, in the library's order."""
+    verts = list(graph.vertices)
+    reach = BooleanReach(graph)
+    out = []
+    for mask in range(1 << len(verts)):
+        h = frozenset(v for j, v in enumerate(verts) if mask >> j & 1)
+        if is_hereditary(graph, h) and is_saturated(graph, h, reach):
+            out.append(h)
+    return sorted(out, key=lambda h: (len(h), sorted(map(repr, h))))
+
+
 def brute_closure(graph, xs):
     """Oracle: intersect every hereditary saturated set containing xs."""
     xs = set(xs)
     out = set(graph.vertices)
-    for h in all_hs_subsets(graph):
+    for h in brute_hs_subsets(graph):
         if xs <= h:
             out &= h
     return out
@@ -23,6 +35,19 @@ def brute_closure(graph, xs):
 def test_looptail_lattice(looptail):
     sets = all_hs_subsets(looptail)
     assert [sorted(h) for h in sets] == [[], ["b"], ["a", "b"]]
+
+
+def test_lattice_matches_bruteforce(skeleton_pullbacks):
+    graphs = [f() for f in families.FAMILIES.values()]
+    graphs += [families.random_2graph(seed) for seed in range(40)]
+    graphs += skeleton_pullbacks
+    checked = 0
+    for g in graphs:
+        if g.is_lazy or len(g.vertices) > 10:
+            continue
+        assert all_hs_subsets(g) == brute_hs_subsets(g), g.name
+        checked += 1
+    assert checked >= 50
 
 
 def test_trivial_lattices(loop_pair_tail, one_vertex_3x2, cycle4):

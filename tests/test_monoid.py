@@ -3,11 +3,13 @@ import random
 import pytest
 
 from kgraphs import families
-from kgraphs.monoid import (Bounds, DEFAULT_BOUNDS, TElement, act, acts_freely,
-                            atoms, factor_into_atoms, find_periodic_element,
-                            forget, graded_keys, is_atom, is_atomic,
+from kgraphs import intlinalg as il
+from kgraphs.monoid import (Bounds, DEFAULT_BOUNDS, TElement, _equalizer_exponents,
+                            act, acts_freely, atoms, common_level,
+                            factor_into_atoms, find_periodic_element, forget,
+                            graded_keys, is_atom, is_atomic, is_exact,
                             m_congruent, push_to_level, t_equal, t_leq)
-from kgraphs.tri import replay
+from kgraphs.tri import Certificate, no, replay, yes
 
 
 def gen(v, n, c=1):
@@ -49,6 +51,41 @@ def test_t_equal_level_vs_rewrite_oracle():
                 assert fast.value == oracle.value, (seed, a, b)
                 checked += 1
     assert checked >= 30
+
+
+def full_scan_t_equal(graph, a, b, bounds=DEFAULT_BOUNDS):
+    """Reference: every exponent with |m|_1 < k|V| in order, then m*."""
+    t = common_level(a, b, graph.k)
+    x, y = push_to_level(graph, a, t), push_to_level(graph, b, t)
+    if a == b or x.coeffs == y.coeffs:
+        return t_equal(graph, a, b, bounds=bounds)
+    xv, yv = x.vector(graph.vertices), y.vector(graph.vertices)
+    cap = min(bounds.push, graph.k * len(graph.vertices) - 1)
+    mstar = (len(graph.vertices),) * graph.k
+    for m in [*_equalizer_exponents(graph.k, cap), mstar]:
+        am = graph.coord_matrix(m)
+        if il.vecmat(xv, am) == il.vecmat(yv, am):
+            return yes(Certificate("equalizer", {"a": a, "b": b, "level": t, "m": m}))
+    return no(Certificate("kernel_stable", {"a": a, "b": b, "level": t, "m": mstar}))
+
+
+def test_decisive_exponent_first_matches_full_scan(skeleton_pullbacks):
+    graphs = [families.random_2graph(seed) for seed in range(40)] + skeleton_pullbacks
+    kinds = set()
+    for i, g in enumerate(graphs):
+        if is_exact(g) or not g.vertices:
+            continue
+        rng = random.Random(i)
+        for _ in range(40):
+            a, b = (sum((gen(rng.choice(g.vertices),
+                             (rng.randint(0, 2), rng.randint(0, 2)))
+                         for _ in range(rng.randint(1, 2))), TElement.zero())
+                    for _ in range(2))
+            got = t_equal(g, a, b)
+            assert got == full_scan_t_equal(g, a, b), (g.name, a, b)
+            assert replay(g, got)
+            kinds.add(got.certificate.kind)
+    assert {"equalizer", "kernel_stable"} <= kinds
 
 
 def test_t_equal_certificates_replay(loop_pair_tail, cycle4):
