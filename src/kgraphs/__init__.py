@@ -9,7 +9,7 @@ verdict carrying a replayable certificate.
 """
 
 from .kgraph import (Edge, KGraph, LazyKGraph, Square, ValidationReport,
-                     is_leaf, quotient_graph, skew_product, validate)
+                     is_leaf, leaves, quotient_graph, skew_product, validate)
 from .monoid import (Bounds, DEFAULT_BOUNDS, MElement, TElement, act, acts_freely,
                      atoms, factor_into_atoms, find_periodic_element, forget,
                      is_atom, is_atomic, m_congruent, push_to_level, refine,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Edge", "KGraph", "LazyKGraph", "Square", "ValidationReport", "is_leaf",
-    "quotient_graph", "skew_product", "validate",
+    "leaves", "quotient_graph", "skew_product", "validate",
     "Bounds", "DEFAULT_BOUNDS", "MElement", "TElement", "act", "acts_freely",
     "atoms", "factor_into_atoms", "find_periodic_element", "forget",
     "is_atom", "is_atomic", "m_congruent", "push_to_level", "refine",

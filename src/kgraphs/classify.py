@@ -13,12 +13,14 @@ revisit a vertex).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from .kgraph import VertexId, is_leaf, quotient_graph, shared_fact, validate, walk
-from .lattice import (LATTICE_LIMIT, all_hs_subsets, mask_closure,
-                      saturated_hereditary_closure)
+from .kgraph import (VertexId, bfs, is_leaf, near_targets, quotient_graph,
+                     shared_fact, single_sources, validate)
+from .lattice import (LATTICE_LIMIT, SemigroupCapExceeded, all_hs_subsets,
+                      mask_closure, saturated_hereditary_closure)
 from .monoid import (Bounds, DEFAULT_BOUNDS, TElement, act, acts_freely, atoms,
                      is_atomic, leaf_orbit_collision, t_equal)
 from .tri import Certificate, Tri, no, register_replayer, unknown, yes
@@ -28,7 +30,10 @@ def is_cofinal(graph) -> Tri:
     """Is the hereditary saturated lattice trivial ({empty, everything})?"""
     if graph.is_lazy or len(graph.vertices) > LATTICE_LIMIT:
         return unknown(f"cofinality needs a finite graph in the {LATTICE_LIMIT}-vertex lattice limit")
-    subsets = all_hs_subsets(graph)
+    try:
+        subsets = all_hs_subsets(graph)
+    except SemigroupCapExceeded as exc:
+        return unknown(f"cofinality: {exc}")
     proper = [h for h in subsets if h and h != frozenset(graph.vertices)]
     if proper:
         return no(Certificate("proper_hs", {"h": tuple(sorted(proper[0], key=repr))}))
@@ -49,7 +54,13 @@ def line_points(graph, bounds: Bounds = DEFAULT_BOUNDS) -> List[VertexId]:
 
 
 def count_line_point_classes(graph, bounds: Bounds = DEFAULT_BOUNDS) -> int:
-    """Line points up to orbit equivalence (orbits sharing a vertex)."""
+    """Line points up to orbit equivalence (orbits sharing a vertex).
+
+    Each orbit is the ball of ``radius`` edges around a line point; every
+    vertex in it must be a leaf vertex (one out-edge per color), else
+    ValueError.  The orbits overlap, so each vertex's out-edges are read
+    once for all of them.
+    """
     pts = line_points(graph, bounds)
     radius = bounds.sample_depth * 2 if graph.is_lazy else len(getattr(graph, "vertices", ())) + 1
     parent = list(range(len(pts)))
@@ -60,21 +71,17 @@ def count_line_point_classes(graph, bounds: Bounds = DEFAULT_BOUNDS) -> int:
             i = parent[i]
         return i
 
+    sources = functools.cache(lambda w: single_sources(graph, w))
     owner: Dict[Any, int] = {}
     for i, v in enumerate(pts):
-        for w in _orbit_vertices(graph, v, radius):
+        for w in bfs([v], sources, radius):
+            if sources(w) is None:  # checked before bfs expands w
+                raise ValueError(f"{v!r} is not a leaf")
             if w in owner:
                 parent[find(i)] = find(owner[w])
             else:
                 owner[w] = i
     return len({find(i) for i in range(len(pts))})
-
-
-def _orbit_vertices(graph, v: VertexId, radius: int) -> List[VertexId]:
-    seen = list(walk(graph, [v], radius))
-    if any(len(graph.out_edges(w, i)) != 1 for w in seen for i in range(graph.k)):
-        raise ValueError(f"{v!r} is not a leaf")
-    return seen
 
 
 def socle_vertices(graph, bounds: Bounds = DEFAULT_BOUNDS) -> List[VertexId]:
@@ -88,17 +95,33 @@ def socle_vertices(graph, bounds: Bounds = DEFAULT_BOUNDS) -> List[VertexId]:
 
 
 def socle_essential(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
-    """Does every vertex reach a line point along some path?"""
+    """Does every vertex reach a line point along some path?
+
+    On a lazy graph: does every sampled vertex reach a line point of the
+    window within ``bounds.sample_depth`` edges (a bounded verdict, whose
+    certificate records the bounds it was reached at).
+    """
     pts = set(line_points(graph, bounds))
     verts = graph.sample_vertices(bounds.sample_depth) if graph.is_lazy \
         else list(graph.vertices)
     if not verts:
         return unknown("no vertices to check")
-    depth = bounds.sample_depth if graph.is_lazy else len(verts) + 1
-    missing = [v for v in verts if pts.isdisjoint(walk(graph, [v], depth))]
+    missing = verts
+    if pts:
+        def successors(w):
+            if w in pts:
+                return None
+            return [e.source for i in range(graph.k) for e in graph.out_edges(w, i)]
+        near = near_targets(verts, successors,
+                            bounds.sample_depth if graph.is_lazy else None)
+        missing = [v for v in verts if v not in near]
     if not missing:
-        cert = Certificate("socle_essential", {"bounded": graph.is_lazy})
-        return yes(cert, note="bounded verdict" if graph.is_lazy else "")
+        data = {"bounded": graph.is_lazy}
+        if graph.is_lazy:
+            data.update(sample_depth=bounds.sample_depth, leaf_depth=bounds.leaf_depth,
+                        offset_radius=bounds.offset_radius)
+        return yes(Certificate("socle_essential", data),
+                   note="bounded verdict" if graph.is_lazy else "")
     if graph.is_lazy:
         return unknown(f"{len(missing)} sampled vertices reach no sampled line point")
     return no(Certificate("socle_gap", {"witness": missing[0]}))
@@ -140,7 +163,10 @@ def is_strongly_aperiodic(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     """Is every quotient by a proper hereditary saturated set aperiodic?"""
     if graph.is_lazy or len(graph.vertices) > LATTICE_LIMIT:
         return unknown(f"strong aperiodicity needs a finite graph in the {LATTICE_LIMIT}-vertex lattice limit")
-    subsets = [h for h in all_hs_subsets(graph) if h != frozenset(graph.vertices)]
+    try:
+        subsets = [h for h in all_hs_subsets(graph) if h != frozenset(graph.vertices)]
+    except SemigroupCapExceeded as exc:
+        return unknown(f"strong aperiodicity: {exc}")
     parts = []
     for h in subsets:
         q = quotient_graph(graph, h)
@@ -253,7 +279,7 @@ def kp_report(graph, bounds: Bounds = DEFAULT_BOUNDS) -> ClassificationReport:
             d = free.certificate.data
             witness = (d["element"], tuple(d["period"]))
         lattice_sets = None
-        if not graph.is_lazy and len(graph.vertices) <= LATTICE_LIMIT:
+        if not cofinal.is_unknown:  # the lattice was enumerated
             lattice_sets = [tuple(sorted(h, key=repr)) for h in all_hs_subsets(graph)]
         return ClassificationReport(
             name=getattr(graph, "name", ""), rank=graph.k, has_sources=has_src,
@@ -351,7 +377,14 @@ def _replay_conjunction_fail(graph, tri: Tri) -> bool:
 
 @register_replayer("socle_essential")
 def _replay_socle_essential(graph, tri: Tri) -> bool:
-    return socle_essential(graph).is_yes
+    d = tri.certificate.data
+    if d["bounded"] != graph.is_lazy:
+        return False
+    bounds = DEFAULT_BOUNDS
+    if graph.is_lazy:
+        bounds = replace(bounds, sample_depth=d["sample_depth"],
+                         leaf_depth=d["leaf_depth"], offset_radius=d["offset_radius"])
+    return socle_essential(graph, bounds).is_yes
 
 
 @register_replayer("socle_gap")

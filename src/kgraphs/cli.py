@@ -240,8 +240,12 @@ def cmd_linepoints(args) -> int:
     g = _resolve_graph(args.graph)
     if args.depth is not None:
         bounds = replace(bounds, sample_depth=args.depth)
-    points = classify.line_points(g, bounds)
-    classes = classify.count_line_point_classes(g, bounds)
+    try:
+        points = classify.line_points(g, bounds)
+        classes = classify.count_line_point_classes(g, bounds)
+    except ValueError as exc:  # an orbit branches past the leaf depth
+        _log(f"unknown: {exc}")
+        return EXIT_UNKNOWN
     listed = [docio._fmt_id(v) for v in points]
     _emit({"linePoints": listed, "classes": classes}, args.format,
           [f"{len(listed)} line points in {classes} classes:"]
@@ -333,6 +337,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InvalidGraph as exc:
         _log(f"invalid graph: {exc}")
         return EXIT_INVALID
+    except lattice.SemigroupCapExceeded as exc:
+        _log(f"unknown: {exc}")
+        return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":

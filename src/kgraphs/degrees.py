@@ -39,10 +39,6 @@ def join(a: Vec, b: Vec) -> Vec:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def meet(a: Vec, b: Vec) -> Vec:
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 def leq(a: Vec, b: Vec) -> bool:
     """Componentwise order a <= b."""
     return all(x <= y for x, y in zip(a, b))
@@ -56,26 +52,9 @@ def norm1(a: Vec) -> int:
     return sum(abs(x) for x in a)
 
 
-def total(a: Vec) -> int:
-    return sum(a)
-
-
 def box(lo: Vec, hi: Vec) -> Iterator[Vec]:
     """All vectors v with lo <= v <= hi, in lexicographic order."""
     return product(*(range(l, h + 1) for l, h in zip(lo, hi)))
-
-
-def graded_box(lo: Vec, hi: Vec) -> list:
-    """Vectors of the box sorted by 1-norm, then lexicographically.
-
-    Small vectors come first, which keeps bounded searches deterministic and
-    biased toward simple witnesses.
-    """
-    return sorted(box(lo, hi), key=lambda v: (norm1(v), v))
-
-
-def nonneg_box(hi: Vec) -> Iterator[Vec]:
-    return box(zero(len(hi)), hi)
 
 
 def validate_vec(a: Sequence, k: int, name: str = "vector") -> Vec:

@@ -289,39 +289,6 @@ def rank2_bratteli() -> LazyKGraph:
                       deterministic=False, name="rank2_bratteli")
 
 
-def disjoint_union_lazy(a: LazyKGraph, b: LazyKGraph,
-                        tags: Tuple[str, str] = ("L", "R")) -> LazyKGraph:
-    """Side-by-side union of two lazy graphs of the same rank."""
-    if a.k != b.k:
-        raise ValueError("ranks differ")
-    parts = {tags[0]: a, tags[1]: b}
-
-    def retag(t: str, e: Edge) -> Edge:
-        return Edge((t, e.id), e.color, (t, e.range), (t, e.source))
-
-    def out_fn(v, i):
-        t, base = v
-        return [retag(t, e) for e in parts[t].out_edges(base, i)]
-
-    def in_fn(v, i):
-        t, base = v
-        return [retag(t, e) for e in parts[t].in_edges(base, i)]
-
-    def swap(x: Edge, y: Edge):
-        t = x.range[0]
-        bx = Edge(x.id[1], x.color, x.range[1], x.source[1])
-        by = Edge(y.id[1], y.color, y.range[1], y.source[1])
-        p, q = parts[t].swap_pair(bx, by)
-        return retag(t, p), retag(t, q)
-
-    roots = [(tags[0], v) for v in a.roots] + [(tags[1], v) for v in b.roots]
-    in_ok = a.supports_in_edges and b.supports_in_edges
-    return LazyKGraph(a.k, out_fn, swap, roots,
-                      in_edges_fn=in_fn if in_ok else None,
-                      deterministic=a.deterministic and b.deterministic,
-                      name=f"{a.name}+{b.name}")
-
-
 # ---------------------------------------------------------------------------
 # random generators (property testing)
 

@@ -19,7 +19,7 @@ import functools
 import inspect
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Collection, Dict, Hashable, Iterable, Iterator,
-                    List, Optional, Sequence, Tuple)
+                    List, Optional, Sequence, Set, Tuple)
 
 from . import degrees as dg
 from . import intlinalg as il
@@ -243,6 +243,17 @@ def walk(g: GraphLike, starts: Iterable[VertexId], depth: Optional[int] = None,
     by layer, at most ``depth`` edges out and (past the starts) only inside
     ``within``.  It is lazy: a consumer that stops early stops the walk.
     """
+    def sources(w):
+        for i in range(g.k):
+            for e in g.out_edges(w, i):
+                if within is None or e.source in within:
+                    yield e.source
+    return bfs(starts, sources, depth)
+
+
+def bfs(starts: Iterable[VertexId], neighbors: Callable[[VertexId], Iterable[VertexId]],
+        depth: Optional[int]) -> Iterator[VertexId]:
+    """``walk`` over any neighbor function, such as a memo of out-edges."""
     frontier = list(dict.fromkeys(starts))
     seen = set(frontier)
     yield from frontier
@@ -250,15 +261,49 @@ def walk(g: GraphLike, starts: Iterable[VertexId], depth: Optional[int] = None,
     while frontier and (depth is None or steps < depth):
         nxt = []
         for w in frontier:
-            for i in range(g.k):
-                for e in g.out_edges(w, i):
-                    s = e.source
-                    if s not in seen and (within is None or s in within):
-                        seen.add(s)
-                        nxt.append(s)
-                        yield s
+            for s in neighbors(w):
+                if s not in seen:
+                    seen.add(s)
+                    nxt.append(s)
+                    yield s
         frontier = nxt
         steps += 1
+
+
+def near_targets(starts: Iterable[VertexId],
+                 successors: Callable[[VertexId], Optional[List[VertexId]]],
+                 steps: Optional[int]) -> Set[VertexId]:
+    """The vertices with a path of at most ``steps`` edges to a target.
+
+    ``successors(w)`` is None when w is a target and otherwise lists the
+    vertices one edge on from w; ``steps=None`` allows paths of any length.
+    Two walks, each made once.  Forward from ``starts``, expanding only
+    non-targets, ``steps`` edges out at most, recording the edges it
+    follows; backward from the targets it met, over the recorded edges,
+    ``steps`` edges at most.  A start is in the result exactly when it has
+    such a path: a shortest one meets no earlier target and lies inside the
+    forward walk.  The cost is O(V + E) over the vertices the forward walk
+    reaches, however many starts share them.
+    """
+    preds: Dict[VertexId, List[VertexId]] = {}
+    targets: List[VertexId] = []
+    expanded = 0
+
+    def forward(w):
+        nonlocal expanded
+        expanded += 1
+        out = successors(w)
+        if out is None:
+            targets.append(w)
+            return ()
+        for s in out:
+            preds.setdefault(s, []).append(w)
+        return out
+    reached = list(bfs(starts, forward, steps))
+    # bfs expands vertices in the order it yields them, all but the last
+    # layer, so the targets of that layer are found here
+    targets += [w for w in reached[expanded:] if successors(w) is None]
+    return set(bfs(targets, lambda s: preds.get(s, ()), steps))
 
 
 def shared_fact(fn: Callable) -> Callable:
@@ -476,17 +521,23 @@ def _unlift_lazy(g: LazyKGraph, lifted: Edge) -> Edge:
 # leaves
 
 
+LAZY_LEAF_DEPTH = 64  # the leaf depth on a lazy graph when none is given
+
+
 def is_leaf(g: GraphLike, v: VertexId, depth: Optional[int] = None) -> Tri:
     """Does v emit exactly one path of every degree?
 
     True exactly when every vertex reachable from v has exactly one out-edge
-    per color.  Exact on finite graphs.  On lazy graphs the walk is cut off
-    at ``depth`` steps; a run that passes every check up to the cutoff
-    returns a yes whose certificate records the depth (a bounded verdict),
-    and a branching or missing edge anywhere gives an exact no.
+    per color.  Exact on finite graphs, where ``depth`` is ignored.  On lazy
+    graphs only the vertices at distance at most ``depth - 1`` from v are
+    checked (``depth`` defaults to ``LAZY_LEAF_DEPTH``; 0 checks none); a run
+    that passes every check returns a yes whose certificate records the
+    depth (a bounded verdict), and a branching or missing edge gives an
+    exact no that records the distance of the vertex where it was found.
+    For many vertices at once use :func:`leaves`.
     """
     if depth is None:
-        depth = 64 if g.is_lazy else None
+        depth = LAZY_LEAF_DEPTH if g.is_lazy else None
     seen = {v}
     frontier = [v]
     steps = 0
@@ -503,7 +554,8 @@ def is_leaf(g: GraphLike, v: VertexId, depth: Optional[int] = None) -> Tri:
                 if len(out) != 1:
                     return no(Certificate("leaf_branch",
                                           {"vertex": v, "witness": w, "color": i,
-                                           "out_degree": len(out)}))
+                                           "out_degree": len(out),
+                                           "distance": steps}))
                 s = out[0].source
                 if s not in seen:
                     seen.add(s)
@@ -514,16 +566,52 @@ def is_leaf(g: GraphLike, v: VertexId, depth: Optional[int] = None) -> Tri:
                                          "bounded": False}))
 
 
+def leaves(g: GraphLike, verts: Iterable[VertexId],
+           depth: Optional[int] = None) -> List[VertexId]:
+    """The leaves among ``verts``, in their order: one analysis for the set.
+
+    Equal to ``[v for v in verts if is_leaf(g, v, depth).is_yes]``, with the
+    same distance rule: exact on finite graphs, where ``depth`` is ignored;
+    on lazy graphs a vertex is a leaf when no vertex at distance at most
+    ``depth - 1`` from it branches (has out-degree other than one in some
+    color), so ``depth=0`` makes every vertex a leaf.  One forward walk from
+    the whole set and one backward walk from the branching vertices it meets
+    replace a walk per vertex (see :func:`near_targets`).
+    """
+    verts = list(verts)
+    steps = None
+    if g.is_lazy:
+        depth = LAZY_LEAF_DEPTH if depth is None else depth
+        if depth == 0:
+            return verts
+        steps = depth - 1
+    branching = near_targets(verts, lambda w: single_sources(g, w), steps)
+    return [v for v in verts if v not in branching]
+
+
+def single_sources(g: GraphLike, w: VertexId) -> Optional[List[VertexId]]:
+    """The source of w's one out-edge of each color, color by color; None
+    if w branches (has out-degree other than one in some color)."""
+    out = []
+    for i in range(g.k):
+        es = g.out_edges(w, i)
+        if len(es) != 1:
+            return None
+        out.append(es[0].source)
+    return out
+
+
 @register_replayer("leaf_branch")
 def _replay_leaf_branch(g, tri: Tri) -> bool:
     d = tri.certificate.data
-    w, i = d["witness"], d["color"]
-    if d["out_degree"] == 1:
+    w, i, dist = d["witness"], d["color"], d.get("distance")
+    if d["out_degree"] == 1 or not isinstance(dist, int) or dist < 0:
         return False
     if len(g.out_edges(w, i)) != d["out_degree"]:
         return False
-    # the witness must actually be reachable from the starting vertex
-    return w in walk(g, [d["vertex"]], depth=10000)
+    # the witness must be reachable from the starting vertex within its
+    # distance, through vertices that do not branch, as the leaf walk met it
+    return w in bfs([d["vertex"]], lambda u: single_sources(g, u) or (), dist)
 
 
 @register_replayer("leaf_walk")

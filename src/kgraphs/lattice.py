@@ -35,16 +35,25 @@ from .tri import Certificate, Tri, no, register_replayer, yes
 # boolean reachability semigroup
 
 
+SEMIGROUP_CAP = 4096  # states of the boolean reachability semigroup
+
+
+class SemigroupCapExceeded(RuntimeError):
+    """The boolean reachability semigroup outgrew its state cap."""
+
+
 class BooleanReach:
     """All distinct boolean supports of the coordinate matrices A_n, n != 0.
 
     Generated by closing the color supports under boolean products; the
     semigroup is commutative (the integer matrices commute) and finite, so
-    the closure terminates.  ``size_cap`` guards degenerate blowups.  Each
-    state is a tuple of row bitmasks (see :mod:`kgraphs.intlinalg`).
+    the closure terminates.  ``size_cap`` guards degenerate blowups: past it
+    the build raises :class:`SemigroupCapExceeded`, which the classifiers
+    turn into ``unknown``.  Each state is a tuple of row bitmasks (see
+    :mod:`kgraphs.intlinalg`).
     """
 
-    def __init__(self, graph, size_cap: int = 4096):
+    def __init__(self, graph, size_cap: int = SEMIGROUP_CAP):
         self.graph = graph
         gens = [il.support(graph.color_matrix(i)) for i in range(graph.k)]
         states: Dict[Tuple[int, ...], None] = dict.fromkeys(gens)
@@ -56,8 +65,9 @@ class BooleanReach:
                     prod = tuple(il.bool_vecmat(row, g) for row in s)
                     if prod not in states:
                         if len(states) >= size_cap:
-                            raise RuntimeError("boolean reachability semigroup "
-                                               f"exceeded {size_cap} states")
+                            raise SemigroupCapExceeded(
+                                "boolean reachability semigroup exceeded "
+                                f"{size_cap} states (lattice.SEMIGROUP_CAP)")
                         states[prod] = None
                         nxt.append(prod)
             frontier = nxt
@@ -292,12 +302,6 @@ def is_prime_ideal(graph, h: Iterable[VertexId]) -> Tri:
             if not reach[idx[v]] & reach[idx[w]] & cmask:
                 return no(Certificate("not_prime", {"h": hkey, "v": v, "w": w}))
     return yes(Certificate("prime_tail", {"h": hkey}))
-
-
-def quotient_monoid_map(graph, a: TElement, h: Iterable[VertexId]) -> TElement:
-    """The image of a in the quotient by the ideal of h: drop h-generators."""
-    hs = set(h)
-    return TElement.from_pairs([((v, n), c) for (v, n), c in a.items if v not in hs])
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import degrees as dg
 from . import intlinalg as il
 from . import rewrite as rw
-from .kgraph import GraphLike, VertexId, is_leaf, shared_fact, skew_product
+from .kgraph import GraphLike, VertexId, is_leaf, leaves, shared_fact, skew_product
 from .tri import Certificate, Tri, no, register_replayer, unknown, yes
 
 Vec = Tuple[int, ...]
@@ -339,13 +339,12 @@ def is_atom(graph, a: TElement, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
 
 @shared_fact
 def atoms(graph, bounds: Bounds = DEFAULT_BOUNDS) -> List[VertexId]:
-    """Leaf vertices: their generators v(n) enumerate all atoms."""
-    if graph.is_lazy:
-        verts = graph.sample_vertices(bounds.sample_depth)
-    else:
-        verts = graph.vertices
-    return [v for v in verts
-            if is_leaf(graph, v, depth=bounds.leaf_depth if graph.is_lazy else None).is_yes]
+    """Leaf vertices: their generators v(n) enumerate all atoms.
+
+    On a lazy graph, the leaves of the sampled window at ``bounds.leaf_depth``.
+    """
+    verts = graph.sample_vertices(bounds.sample_depth) if graph.is_lazy else graph.vertices
+    return leaves(graph, verts, bounds.leaf_depth)
 
 
 @shared_fact
@@ -356,29 +355,34 @@ def is_atomic(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     saturated closure of the leaf set is the whole vertex set.  Lazy graphs
     get bounded verdicts from the sampled window.
     """
-    from .lattice import saturated_hereditary_closure
+    from .lattice import SemigroupCapExceeded, saturated_hereditary_closure
 
     if graph.is_lazy:
         sampled = graph.sample_vertices(bounds.sample_depth)
-        leaves = atoms(graph, bounds)
+        leaf_set = atoms(graph, bounds)
         if not sampled:
             return unknown("no vertices sampled")
-        if not leaves:
+        if not leaf_set:
             return no(Certificate("no_atoms_sampled",
                                   {"sample_depth": bounds.sample_depth,
+                                   "leaf_depth": bounds.leaf_depth,
                                    "n_sampled": len(sampled), "bounded": True}),
                       note="no leaf among sampled vertices, so no atoms exist "
                            "in the sampled window (bounded verdict)")
-        if len(leaves) == len(sampled):
+        if len(leaf_set) == len(sampled):
             return yes(Certificate("all_leaves_sampled",
                                    {"sample_depth": bounds.sample_depth,
+                                    "leaf_depth": bounds.leaf_depth,
                                     "n_sampled": len(sampled), "bounded": True}),
                        note="every sampled vertex is a leaf (bounded verdict)")
         return unknown("sampled window is mixed; closure not computable lazily")
     if graph.has_sources():
         return unknown("atomicity criterion needs a graph without sources")
     leaf_set = atoms(graph, bounds)
-    closure = saturated_hereditary_closure(graph, leaf_set)
+    try:
+        closure = saturated_hereditary_closure(graph, leaf_set)
+    except SemigroupCapExceeded as exc:
+        return unknown(f"atomicity criterion: {exc}")
     missing = [v for v in graph.vertices if v not in closure]
     if not missing:
         return yes(Certificate("atomic_closure", {"leaves": leaf_set}))
@@ -767,10 +771,10 @@ def _replay_periodic_pair(graph, tri: Tri) -> bool:
 def _replay_atomic_closure(graph, tri: Tri) -> bool:
     from .lattice import saturated_hereditary_closure
 
-    leaves = tri.certificate.data["leaves"]
-    if not all(is_leaf(graph, v).is_yes for v in leaves):
+    claimed = tri.certificate.data["leaves"]
+    if len(leaves(graph, claimed)) != len(claimed):
         return False
-    closure = saturated_hereditary_closure(graph, leaves)
+    closure = saturated_hereditary_closure(graph, claimed)
     return set(closure) == set(graph.vertices)
 
 
@@ -784,17 +788,21 @@ def _replay_not_atomic(graph, tri: Tri) -> bool:
     return d["missing"] not in closure
 
 
+def _sampled_leaf_count(graph, d) -> Optional[int]:
+    """How many vertices of the recorded window are leaves at the recorded
+    leaf depth; None when the window is not the recorded size."""
+    sampled = graph.sample_vertices(d["sample_depth"])
+    if len(sampled) != d["n_sampled"]:
+        return None
+    return len(leaves(graph, sampled, d["leaf_depth"]))
+
+
 @register_replayer("no_atoms_sampled")
 def _replay_no_atoms(graph, tri: Tri) -> bool:
-    d = tri.certificate.data
-    sampled = graph.sample_vertices(d["sample_depth"])
-    return len(sampled) == d["n_sampled"] and \
-        not any(is_leaf(graph, v, depth=DEFAULT_BOUNDS.leaf_depth).is_yes for v in sampled)
+    return _sampled_leaf_count(graph, tri.certificate.data) == 0
 
 
 @register_replayer("all_leaves_sampled")
 def _replay_all_leaves(graph, tri: Tri) -> bool:
     d = tri.certificate.data
-    sampled = graph.sample_vertices(d["sample_depth"])
-    return len(sampled) == d["n_sampled"] and \
-        all(is_leaf(graph, v, depth=DEFAULT_BOUNDS.leaf_depth).is_yes for v in sampled)
+    return _sampled_leaf_count(graph, d) == d["n_sampled"]

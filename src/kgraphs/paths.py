@@ -64,10 +64,6 @@ def normalize(graph: GraphLike, range_v: VertexId, edges: Sequence[Edge]) -> Pat
             return Path(range_v, tuple(seq))
 
 
-def vertex_path(v: VertexId) -> Path:
-    return Path(v, ())
-
-
 def compose(graph: GraphLike, p: Path, q: Path) -> Path:
     """The concatenation p.q (requires source(p) == range(q)), normalized."""
     if p.source != q.range:

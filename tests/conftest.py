@@ -3,6 +3,7 @@ import random
 import pytest
 
 from kgraphs import families
+from kgraphs.kgraph import Edge, LazyKGraph
 
 
 @pytest.fixture
@@ -48,6 +49,18 @@ def grid2():
 @pytest.fixture
 def bratteli():
     return families.rank2_bratteli()
+
+
+@pytest.fixture
+def branching_chain():
+    """A rank-1 lazy graph on the naturals: vertex n has one edge to n + 1
+    below 10 and two from 10 on, so n is a leaf to depth 10 - n exactly."""
+    def out(v, color):
+        return [Edge((v, j), 0, v, v + 1) for j in range(1 if v < 10 else 2)]
+
+    def swap(x, y):
+        raise KeyError("a rank-1 graph has no squares")
+    return LazyKGraph(1, out, swap, roots=[0], name="branching_chain")
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -10,7 +11,7 @@ from kgraphs.classify import (count_line_point_classes, is_aperiodic,
 from kgraphs.kgraph import walk
 from kgraphs.lattice import hereditary_closure
 from kgraphs.monoid import DEFAULT_BOUNDS
-from kgraphs.tri import Certificate, no, replay
+from kgraphs.tri import Certificate, no, replay, yes
 
 
 def verdicts(report):
@@ -156,10 +157,13 @@ def _count_calls(monkeypatch, name, *modules):
 
 
 def test_report_tests_each_leaf_once(monkeypatch, grid2):
-    calls = _count_calls(monkeypatch, "is_leaf", kgraph, monoid, classify)
+    analyses = _count_calls(monkeypatch, "leaves", kgraph, monoid)
+    singles = _count_calls(monkeypatch, "is_leaf", kgraph, monoid, classify)
     kp_report(grid2, DEFAULT_BOUNDS)
     sampled = grid2.sample_vertices(DEFAULT_BOUNDS.sample_depth)
-    assert sorted((v for _, v, *_ in calls), key=repr) == sorted(sampled, key=repr)
+    # one leaf analysis of the whole window, and no walk per vertex
+    assert [(g, list(verts)) for g, verts, *_ in analyses] == [(grid2, sampled)]
+    assert singles == []
 
 
 def test_report_runs_one_periodic_search(monkeypatch, fan3):
@@ -199,12 +203,12 @@ def test_lattice_and_kernel_certificates_replay_apart(cycle4, looptail,
 
 
 def test_report_facts_do_not_outlive_the_call(monkeypatch, grid2):
-    calls = _count_calls(monkeypatch, "is_leaf", monoid)
+    calls = _count_calls(monkeypatch, "leaves", monoid)
     first = kp_report(grid2, DEFAULT_BOUNDS)
     assert not hasattr(grid2, "_facts")
-    once = len(calls)
+    assert len(calls) == 1
     second = kp_report(grid2, DEFAULT_BOUNDS)
-    assert len(calls) == 2 * once  # recomputed, not read back
+    assert len(calls) == 2  # recomputed, not read back
     assert verdicts(first) == verdicts(second)
     assert first.atom_vertices == second.atom_vertices
 
@@ -214,6 +218,35 @@ def test_report_facts_do_not_outlive_the_call(monkeypatch, grid2):
     with pytest.raises(RuntimeError):
         kp_report(grid2, DEFAULT_BOUNDS)
     assert not hasattr(grid2, "_facts")
+
+
+def test_bounded_certificates_replay_at_their_own_depths(branching_chain):
+    # vertex 0 is a leaf to depth 10 only, so the default leaf depth of 64
+    # would reject what leaf depth 4 certified
+    g = branching_chain
+    bounds = replace(DEFAULT_BOUNDS, leaf_depth=4, sample_depth=0)
+    atomic, essential = monoid.is_atomic(g, bounds), socle_essential(g, bounds)
+    assert atomic.certificate.kind == "all_leaves_sampled"
+    assert atomic.certificate.data["leaf_depth"] == 4
+    assert essential.certificate.data["sample_depth"] == 0
+    for tri in (atomic, essential):
+        assert tri.is_yes and replay(g, tri)
+    d = atomic.certificate.data
+    assert not replay(g, yes(Certificate("all_leaves_sampled", {**d, "leaf_depth": 64})))
+    none = monoid.is_atomic(g, replace(bounds, leaf_depth=64))
+    assert none.certificate.kind == "no_atoms_sampled" and replay(g, none)
+    assert not replay(g, no(Certificate("no_atoms_sampled",
+                                        {**none.certificate.data, "leaf_depth": 4})))
+    r = kp_report(g, bounds)
+    for name, tri in r.verdicts().items():
+        assert replay(g, tri), name
+
+
+def test_socle_essential_without_line_points_does_not_walk(monkeypatch, bratteli):
+    calls = _count_calls(monkeypatch, "near_targets", classify)
+    tri = socle_essential(bratteli, DEFAULT_BOUNDS)
+    assert tri.is_unknown and calls == []
+    assert tri.note == "127 sampled vertices reach no sampled line point"
 
 
 def test_fact_key_ignores_how_bounds_are_passed(cycle4):

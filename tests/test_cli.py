@@ -181,6 +181,26 @@ def test_invalid_documents_exit_2(tmp_path, capsys):
             assert out == "" and err.startswith("invalid graph: "), argv
 
 
+def test_semigroup_cap_gives_unknown(tmp_path, capsys):
+    # disjoint directed cycles of lengths 3, 5, 7, 11 and 13: 39 vertices,
+    # no sources, and a reachability semigroup of lcm = 15015 states
+    verts, arrows = [], []
+    for n in (3, 5, 7, 11, 13):
+        cycle = [f"c{n}.{i}" for i in range(n)]
+        verts += cycle
+        arrows += [(f"a{n}.{i}", v, cycle[(i + 1) % n]) for i, v in enumerate(cycle)]
+    p = tmp_path / "cycles.json"
+    p.write_text(docio.dump_graph(families.pullback_2graph(verts, arrows)) + "\n")
+    code, out, _ = run(["classify", str(p), "--format", "structured"], capsys)
+    assert code == cli.EXIT_OK
+    atomic = json.loads(out)["properties"]["atomic"]
+    assert atomic["verdict"] == "unknown" and "SEMIGROUP_CAP" in atomic["note"]
+    code, _, _ = run(["classify", str(p), "--strict"], capsys)
+    assert code == cli.EXIT_STRICT_UNKNOWN
+    code, _, err = run(["closure", str(p), "c3.0"], capsys)
+    assert code == cli.EXIT_UNKNOWN and "4096 states" in err
+
+
 def test_flags_take_only_nonnegative_integers(capsys):
     for argv in (["classify", "fan3", "--bound", "-1"],
                  ["classify", "cycle4", "--depth", "1.5"],
@@ -192,6 +212,13 @@ def test_flags_take_only_nonnegative_integers(capsys):
         assert "must be a nonnegative integer" in err
     code, _, _ = run(["linepoints", "grid2", "--depth", "0"], capsys)
     assert code == cli.EXIT_OK
+
+
+def test_linepoints_past_the_leaf_depth_is_unknown(monkeypatch, capsys):
+    # at leaf depth 0 the branching root counts as a leaf, but its orbit branches
+    monkeypatch.setenv("KGRAPHS_LEAF_DEPTH", "0")
+    code, _, err = run(["linepoints", "bratteli", "--depth", "0"], capsys)
+    assert code == cli.EXIT_UNKNOWN and "is not a leaf" in err
 
 
 def test_usage_errors_exit_as_parse_errors(capsys):

@@ -74,11 +74,3 @@ def test_bratteli_branching(bratteli):
         seen.append(at)
         at = bratteli.out_edges(at, 1)[0].source
     assert at == (2, 0) and len(set(seen)) == 4
-
-
-def test_disjoint_union_lazy():
-    u = families.disjoint_union_lazy(families.grid(2), families.grid(2))
-    samp = u.sample_vertices(2)
-    assert ("L", (0, 0)) in samp and ("R", (1, 1)) in samp
-    out = u.out_edges(("L", (0, 0)), 0)
-    assert out[0].source == ("L", (1, 0))

@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgraphs import families
-from kgraphs.kgraph import (Edge, KGraph, Square, is_leaf, quotient_graph,
+from kgraphs.kgraph import (Edge, KGraph, Square, is_leaf, leaves, quotient_graph,
                             skew_product, validate)
+from kgraphs.tri import Certificate, no, replay
 
 
 def test_fixture_validation():
@@ -132,6 +133,57 @@ def test_is_leaf(cycle4, loop_pair_tail, grid2, bratteli):
     assert is_leaf(loop_pair_tail, "v", 8).is_yes
     assert is_leaf(grid2, (0, 0), 8).is_yes
     assert is_leaf(bratteli, (0, 0), 8).is_no
+
+
+def _leaves_one_by_one(g, verts, depth):
+    return [v for v in verts if is_leaf(g, v, depth).is_yes]
+
+
+def test_leaves_match_is_leaf_on_finite_graphs(skeleton_pullbacks):
+    graphs = [make() for make in families.FAMILIES.values()]
+    graphs += [families.random_2graph(seed) for seed in range(40)] + skeleton_pullbacks
+    for g in graphs:
+        if g.is_lazy:
+            continue
+        for depth in (None, 0, 1, 4):  # a finite graph ignores the depth
+            assert leaves(g, g.vertices, depth) == \
+                _leaves_one_by_one(g, g.vertices, depth), (g.name, depth)
+
+
+@pytest.mark.parametrize("name", ["grid2", "delta2", "bratteli"])
+def test_leaves_match_is_leaf_on_lazy_windows(name):
+    g = families.FAMILIES[name]()
+    for sample_depth in range(7):
+        window = g.sample_vertices(sample_depth)
+        for depth in (0, 1, 2, 5, 64):
+            assert leaves(g, window, depth) == \
+                _leaves_one_by_one(g, window, depth), (sample_depth, depth)
+
+
+def test_leaf_depth_checks_distances_below_it(branching_chain):
+    # vertex n first meets a branching vertex at distance max(10 - n, 0);
+    # depth None is the lazy default of 64
+    verts = list(range(13))
+    for depth in (0, 1, 4, 11, None):
+        expect = [v for v in verts if max(10 - v, 0) >= (64 if depth is None else depth)]
+        assert leaves(branching_chain, verts, depth) == expect, depth
+        assert _leaves_one_by_one(branching_chain, verts, depth) == expect, depth
+    assert leaves(branching_chain, [3, 3, 0, 9], 2) == [3, 3, 0]
+
+
+def test_leaf_branch_replays_within_its_distance(branching_chain, bratteli):
+    tri = is_leaf(branching_chain, 0, 64)
+    d = tri.certificate.data
+    assert tri.is_no and (d["witness"], d["distance"]) == (10, 10)
+    assert replay(branching_chain, tri)
+    assert not replay(branching_chain, no(Certificate("leaf_branch", {**d, "distance": 9})))
+    # (1, 0) lies on another branch of the tower: a forged certificate
+    # without a distance is rejected, not searched for without end
+    forged = no(Certificate("leaf_branch", {"vertex": (3, 0), "witness": (1, 0),
+                                            "color": 0, "out_degree": 2}))
+    assert not replay(bratteli, forged)
+    assert not replay(bratteli, no(Certificate("leaf_branch",
+                                               {**forged.certificate.data, "distance": 50})))
 
 
 def test_lazy_sampling(grid2):

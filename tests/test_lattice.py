@@ -4,7 +4,7 @@ from kgraphs import families
 from kgraphs.lattice import (BooleanReach, all_hs_subsets, hereditary_closure,
                              ideal_membership, ideal_of_vertex_set,
                              is_hereditary, is_prime_ideal, is_saturated,
-                             quotient_monoid_map, rho_eta_roundtrip,
+                             rho_eta_roundtrip,
                              saturated_hereditary_closure, vertices_of_ideal)
 from kgraphs.monoid import TElement
 from kgraphs.tri import replay
@@ -126,12 +126,6 @@ def test_prime_ideal_negative():
     empty = is_prime_ideal(g, frozenset())
     assert empty.is_no  # the two components never meet
     assert replay(g, empty)
-
-
-def test_quotient_map(looptail):
-    a = TElement.gen("a", (0, 0)) + TElement.gen("b", (1, 1), 2)
-    q = quotient_monoid_map(looptail, a, {"b"})
-    assert q == TElement.gen("a", (0, 0))
 
 
 def test_boolean_reach_finite(looptail):

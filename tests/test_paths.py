@@ -5,7 +5,7 @@ import pytest
 from kgraphs import degrees as dg
 from kgraphs import families
 from kgraphs.paths import (Path, compose, enumerate_paths, ext, factor,
-                           lambda_min, mce, normalize, segment, vertex_path)
+                           lambda_min, mce, normalize, segment)
 
 
 def brute_paths_reverse_order(graph, v, n):
@@ -72,11 +72,6 @@ def test_segment(loop_pair_tail):
     mid = segment(g, p, (1, 0), (2, 1))
     assert mid.degree(2) == (1, 1)
     assert mid.range == factor(g, p, (1, 0))[1].range
-
-
-def test_vertex_path():
-    p = vertex_path("u")
-    assert p.source == "u" and p.degree(2) == (0, 0)
 
 
 def test_mce_empty_on_arrow(arrow):
