@@ -13,7 +13,7 @@ from .kgraph import (Edge, KGraph, LazyKGraph, Square, ValidationReport,
 from .monoid import (Bounds, DEFAULT_BOUNDS, MElement, TElement, act, acts_freely,
                      atoms, factor_into_atoms, find_periodic_element, forget,
                      is_atom, is_atomic, m_congruent, push_to_level, refine,
-                     t_equal, t_leq)
+                     t_equal, t_equal_rewrite, t_leq)
 from .lattice import (all_hs_subsets, hereditary_closure, ideal_membership,
                       ideal_of_vertex_set, is_prime_ideal,
                       saturated_hereditary_closure, vertices_of_ideal)
@@ -36,7 +36,7 @@ __all__ = [
     "Bounds", "DEFAULT_BOUNDS", "MElement", "TElement", "act", "acts_freely",
     "atoms", "factor_into_atoms", "find_periodic_element", "forget",
     "is_atom", "is_atomic", "m_congruent", "push_to_level", "refine",
-    "t_equal", "t_leq",
+    "t_equal", "t_equal_rewrite", "t_leq",
     "all_hs_subsets", "hereditary_closure", "ideal_membership",
     "ideal_of_vertex_set", "is_prime_ideal", "saturated_hereditary_closure",
     "vertices_of_ideal",

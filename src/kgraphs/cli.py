@@ -130,11 +130,7 @@ def cmd_eq(args) -> int:
     b = _parse_element(g, args.b, bounds.sample_depth)
     if args.bound is not None:
         bounds = replace(bounds, rewrite=args.bound, push=args.bound)
-    try:
-        tri = t_equal(g, a, b, mode=args.mode, bounds=bounds)
-    except ValueError as exc:  # --mode exact on a graph it does not apply to
-        _log(str(exc))
-        return EXIT_PARSE
+    tri = t_equal(g, a, b, bounds=bounds)
     cert = tri.certificate.kind if tri.certificate else None
     payload = {"verdict": tri.value, "certificate": cert, "note": tri.note}
     _emit(payload, args.format,
@@ -214,9 +210,9 @@ def cmd_lattice(args) -> int:
     g = _resolve_graph(args.graph)
     try:
         sets = lattice.all_hs_subsets(g)
-    except ValueError as exc:
-        _log(str(exc))
-        return EXIT_INVALID
+    except ValueError as exc:  # a lazy family, or more than LATTICE_LIMIT vertices
+        _log(str(exc) if g.is_lazy else f"unknown: {exc}")
+        return EXIT_PARSE if g.is_lazy else EXIT_UNKNOWN
     listed = [sorted(docio._fmt_id(v) for v in h) for h in sets]
     _emit({"count": len(sets), "sets": listed}, args.format,
           [f"{len(sets)} hereditary saturated sets:"]
@@ -278,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("a")
     sp.add_argument("b")
     sp.add_argument("--bound", type=_count, default=None)
-    sp.add_argument("--mode", choices=["auto", "exact", "rewrite"],
-                    default="auto")
     common(sp)
     sp.set_defaults(fn=cmd_eq)
 

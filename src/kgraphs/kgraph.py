@@ -101,6 +101,7 @@ class KGraph:
             self.hi2lo[sq.hi] = sq.lo
 
         self._coord_cache: Dict[Tuple[int, ...], il.Matrix] = {}
+        self._reach: Optional[Tuple[int, ...]] = None
 
     # -- basic queries -------------------------------------------------
 
@@ -117,6 +118,16 @@ class KGraph:
     def has_sources(self) -> bool:
         return any(not self.out_edges(v, i)
                    for v in self.vertices for i in range(self.k))
+
+    def reach_rows(self) -> Tuple[int, ...]:
+        """Row i is the bitmask of the vertices that vertex i reaches by a
+        path of any degree, itself included: one :func:`walk` per vertex,
+        computed once and kept, like the coordinate matrices."""
+        if self._reach is None:
+            idx = self.vertex_index
+            self._reach = tuple(sum(1 << idx[w] for w in walk(self, [v]))
+                                for v in self.vertices)
+        return self._reach
 
     # -- coordinate matrices -------------------------------------------
 

@@ -54,7 +54,6 @@ class BooleanReach:
     """
 
     def __init__(self, graph, size_cap: int = SEMIGROUP_CAP):
-        self.graph = graph
         gens = [il.support(graph.color_matrix(i)) for i in range(graph.k)]
         states: Dict[Tuple[int, ...], None] = dict.fromkeys(gens)
         frontier = list(states)
@@ -72,13 +71,6 @@ class BooleanReach:
                         nxt.append(prod)
             frontier = nxt
         self.states: List[Tuple[int, ...]] = list(states)
-
-    def any_reach(self) -> Tuple[int, ...]:
-        """Reflexive-transitive reachability by paths of any degree."""
-        acc = [1 << i for i in range(len(self.graph.vertices))]
-        for s in self.states:
-            acc = [a | r for a, r in zip(acc, s)]
-        return tuple(acc)
 
     def saturates(self, row: int, hmask: int) -> bool:
         """Is there a degree n != 0 at which vertex ``row`` has paths and
@@ -156,12 +148,12 @@ def saturated_hereditary_closure(graph: GraphLike, xs: Iterable[VertexId],
 def mask_closure(graph) -> Callable[[int], int]:
     """The saturated hereditary closure of a finite graph on vertex bitmasks.
 
-    Rows of ``any_reach`` are hereditary, so OR-ing the rows of a mask's bits
-    closes it hereditarily; every vertex that then saturates adds its own
-    row, until nothing changes.
+    Rows of ``graph.reach_rows()`` are hereditary, so OR-ing the rows of a
+    mask's bits closes it hereditarily; every vertex that then saturates
+    adds its own row, until nothing changes.
     """
     reach = BooleanReach(graph)
-    down = reach.any_reach()
+    down = graph.reach_rows()
 
     def close(x: int) -> int:
         x = il.bool_vecmat(x, down)
@@ -242,7 +234,7 @@ def ideal_membership(graph, a: TElement, h: Iterable[VertexId]) -> Tri:
         return yes(Certificate("ideal_member", {"a": a, "h": hkey,
                                                 "level": None, "path": []}))
     t = common_level(a, TElement.zero(), graph.k)
-    row = il.row_support(push_to_level(graph, a, t).vector(graph.vertices))
+    row = il.row_support(push_to_level(graph, a, t))
     hmask = _mask(graph, hs)
     gens = [il.support(graph.color_matrix(i)) for i in range(graph.k)]
     trail: Dict[int, List[int]] = {row: []}
@@ -294,7 +286,7 @@ def is_prime_ideal(graph, h: Iterable[VertexId]) -> Tri:
     comp = [v for v in graph.vertices if v not in hs]
     if not comp:
         return no(Certificate("not_prime", {"h": hkey, "reason": "improper"}))
-    reach = BooleanReach(graph).any_reach()
+    reach = graph.reach_rows()
     idx = graph.vertex_index
     cmask = _mask(graph, comp)
     for v in comp:
@@ -314,7 +306,7 @@ def _replay_ideal_member(graph, tri: Tri) -> bool:
     a = d["a"]
     if a.is_zero():
         return True
-    row = il.row_support(push_to_level(graph, a, d["level"]).vector(graph.vertices))
+    row = il.row_support(push_to_level(graph, a, d["level"]))
     for i in d["path"]:
         gen = il.support(graph.color_matrix(i))
         if not _expands(row, gen):
@@ -336,7 +328,7 @@ def _replay_not_prime(graph, tri: Tri) -> bool:
     comp = [u for u in graph.vertices if u not in hs]
     if d.get("reason") == "improper":
         return not comp
-    reach = BooleanReach(graph).any_reach()
+    reach = graph.reach_rows()
     idx = graph.vertex_index
     v, w = d["v"], d["w"]
     if v in hs or w in hs:

@@ -7,19 +7,21 @@ the sources of its out-edges one color at a time, with the shift action
 monoid whose word problem is handled by :mod:`kgraphs.rewrite`.
 
 Deciding equality uses the level picture: on a finite graph without sources
-every element pushes to a vector at any common level t, pushing commutes
-with the defining relations, and two elements agree exactly when some
-further push A_m equalizes their level vectors.  When every color matrix
-has full rank the push maps are injective, so m = 0 already decides (exact
-mode).  Otherwise the decisive exponent m* = (|V|, ..., |V|) decides: the
-difference of the level vectors is pushed through each color matrix |V|
-times, a nonzero result is a "no", and only a "yes" scans small exponents
-for the smallest equalizer.  Graphs with sources and lazy graphs go to
-rewriting on the degree skew product, unless a lazy family has graded keys.
+every element pushes to a level vector at any common level t, pushing
+commutes with the defining relations, and two elements agree exactly when
+some further push A_m equalizes their level vectors.  The decisive exponent
+m* = (|V|, ..., |V|) settles it: the difference of the level vectors is
+pushed through each color matrix |V| times, a nonzero result is a "no", and
+only a "yes" scans small exponents, m = 0 first, for the smallest
+equalizer.  Order scans the same exponents with <= in place of ==.  Graphs
+with sources and lazy graphs go to rewriting on the degree skew product
+(:func:`t_equal_rewrite`), unless a lazy family has graded keys.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
@@ -121,49 +123,37 @@ def m_congruent(graph: GraphLike, a: rw.FreeElement, b: rw.FreeElement,
 
 
 # ---------------------------------------------------------------------------
-# level forms
+# level vectors
 
 
-@dataclass(frozen=True)
-class LevelForm:
-    """An element rewritten so every generator sits at one common level."""
+def push_to_level(graph, a: TElement, t: Sequence[int]) -> il.Vector:
+    """The level vector of a at level t >= every offset of a (finite graph,
+    no sources), indexed by ``graph.vertices``.
 
-    level: Vec
-    coeffs: Tuple[Tuple[VertexId, int], ...]
-
-    def vector(self, vertex_order: Sequence[VertexId]) -> il.Vector:
-        idx = {v: i for i, v in enumerate(vertex_order)}
-        x = [0] * len(vertex_order)
-        for v, c in self.coeffs:
-            x[idx[v]] += c
-        return tuple(x)
-
-
-def push_to_level(graph, a: TElement, t: Sequence[int]) -> LevelForm:
-    """Rewrite a to level t >= every offset of a (finite graph, no sources).
-
-    ``v(n)`` becomes the row of the degree-(t - n) coordinate matrix at v,
-    placed at level t.
+    Each generator ``c * v(n)`` adds c times the row at v of the degree-(t - n)
+    coordinate matrix.
     """
     t = dg.validate_vec(tuple(t), graph.k, "level")
-    acc: Counter = Counter()
+    x = (0,) * len(graph.vertices)
     for (v, n), c in a.items:
         if not dg.leq(n, t):
             raise ValueError(f"level {t} is below offset {n}")
-        mat = graph.coord_matrix(dg.sub(t, n))
-        row = mat[graph.vertex_index[v]]
-        for j, w in enumerate(graph.vertices):
-            if row[j]:
-                acc[w] += c * row[j]
-    return LevelForm(t, tuple(sorted((kv for kv in acc.items() if kv[1]),
-                                     key=lambda kv: repr(kv[0]))))
+        row = graph.coord_matrix(dg.sub(t, n))[graph.vertex_index[v]]
+        x = tuple(p + c * q for p, q in zip(x, row))
+    return x
 
 
 def common_level(a: TElement, b: TElement, k: int) -> Vec:
-    t = dg.zero(k)
-    for n in a.offsets() + b.offsets():
-        t = dg.join(t, n)
-    return t
+    return functools.reduce(dg.join, a.offsets() + b.offsets(), dg.zero(k))
+
+
+def _level_vectors(graph, a: TElement, b: TElement,
+                   t: Optional[Sequence[int]] = None) -> Tuple[Vec, il.Vector, il.Vector]:
+    """(t, x, y): the level vectors of a and b at level t, by default at
+    their common level."""
+    if t is None:
+        t = common_level(a, b, graph.k)
+    return t, push_to_level(graph, a, t), push_to_level(graph, b, t)
 
 
 def is_exact(graph) -> bool:
@@ -180,6 +170,25 @@ def _equalizer_exponents(k: int, bound: int):
             for i in slots:
                 m[i] += 1
             yield tuple(m)
+
+
+def _holds_at(graph, x: il.Vector, y: il.Vector, m: Sequence[int], holds) -> bool:
+    """Does ``holds`` relate the pushed vectors x A_m and y A_m?"""
+    am = graph.coord_matrix(m)
+    return holds(il.vecmat(x, am), il.vecmat(y, am))
+
+
+def _first_push(graph, x: il.Vector, y: il.Vector, holds, bound: int) -> Optional[Vec]:
+    """The first exponent, m = 0 and then those of ``_equalizer_exponents``,
+    at which ``holds`` relates x A_m and y A_m."""
+    if holds(x, y):
+        return dg.zero(graph.k)
+    return next((m for m in _equalizer_exponents(graph.k, bound)
+                 if _holds_at(graph, x, y, m, holds)), None)
+
+
+def _leq(x: il.Vector, y: il.Vector) -> bool:
+    return all(p <= q for p, q in zip(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -210,61 +219,42 @@ def graded_keys(graph, a: TElement) -> Counter:
 # equality and order
 
 
-def t_equal(graph, a: TElement, b: TElement, mode: str = "auto",
-            bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
+def t_equal(graph, a: TElement, b: TElement, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     """Decide equality of two elements of the graded monoid.
 
-    mode ``auto`` picks the strongest applicable engine, ``exact`` insists on
-    the injective level method (error if unavailable), ``rewrite`` forces the
-    skew rewriting oracle.
+    Deterministic graded lazy families compare key multisets, finite graphs
+    without sources always get a verdict from the level engine, and every
+    other graph goes to the bounded skew rewriting of :func:`t_equal_rewrite`.
     """
-    if mode not in ("auto", "exact", "rewrite"):
-        raise ValueError(f"unknown mode {mode!r}")
     if a == b:
         return yes(Certificate("level_equal", {"a": a, "b": b, "level": None}))
     if a.is_zero() != b.is_zero():
         return no(Certificate("zero_class_t", {"a": a, "b": b}))
-
-    if mode != "rewrite":
-        if _graded_injective(graph):
-            ka, kb = graded_keys(graph, a), graded_keys(graph, b)
-            cert = Certificate("graded_keys", {"a": a, "b": b})
-            return yes(cert) if ka == kb else no(cert)
-        if not graph.is_lazy and not graph.has_sources():
-            return _t_equal_level(graph, a, b, mode, bounds)
-        if mode == "exact":
-            raise ValueError("exact mode needs a finite graph without sources")
-
-    return _t_equal_rewrite(graph, a, b, bounds)
+    if _graded_injective(graph):
+        ka, kb = graded_keys(graph, a), graded_keys(graph, b)
+        cert = Certificate("graded_keys", {"a": a, "b": b})
+        return yes(cert) if ka == kb else no(cert)
+    if not graph.is_lazy and not graph.has_sources():
+        return _t_equal_level(graph, a, b, bounds)
+    return t_equal_rewrite(graph, a, b, bounds)
 
 
-def _t_equal_level(graph, a: TElement, b: TElement, mode: str,
-                   bounds: Bounds) -> Tri:
-    t = common_level(a, b, graph.k)
-    x = push_to_level(graph, a, t)
-    y = push_to_level(graph, b, t)
-    if x.coeffs == y.coeffs:
-        return yes(Certificate("level_equal", {"a": a, "b": b, "level": t}))
-    exact = is_exact(graph)
-    if mode == "exact" and not exact:
-        raise ValueError("exact mode requested but a color matrix is singular")
-    if exact:
-        return no(Certificate("exact_level", {"a": a, "b": b, "level": t}))
-    xv = x.vector(graph.vertices)
-    yv = y.vector(graph.vertices)
+def _t_equal_level(graph, a: TElement, b: TElement, bounds: Bounds) -> Tri:
+    t, x, y = _level_vectors(graph, a, b)
     # Decisive exponent first.  The left kernel of A_i^j is stable for
     # j >= |V|, and the A_i commute, so x - y dies under some A_m exactly
     # when it dies under A_m* with m* = (|V|, ..., |V|): a "no" there ends
-    # the question, and only a "yes" scans for the smallest equalizer.
+    # the question (on graphs whose color matrices are all injective every
+    # nonzero difference survives), and only a "yes" scans for the smallest
+    # equalizer.
     mstar = (len(graph.vertices),) * graph.k
-    if _differ_at_mstar(graph, xv, yv):
+    if _differ_at_mstar(graph, x, y):
         return no(Certificate("kernel_stable", {"a": a, "b": b, "level": t, "m": mstar}))
-    scan_cap = min(bounds.push, graph.k * len(graph.vertices) - 1)
-    for m in _equalizer_exponents(graph.k, scan_cap):
-        am = graph.coord_matrix(m)
-        if il.vecmat(xv, am) == il.vecmat(yv, am):
-            return yes(Certificate("equalizer", {"a": a, "b": b, "level": t, "m": m}))
-    return yes(Certificate("equalizer", {"a": a, "b": b, "level": t, "m": mstar}))
+    m = _first_push(graph, x, y, operator.eq,
+                    min(bounds.push, graph.k * len(graph.vertices) - 1)) or mstar
+    if not any(m):
+        return yes(Certificate("level_equal", {"a": a, "b": b, "level": t}))
+    return yes(Certificate("equalizer", {"a": a, "b": b, "level": t, "m": m}))
 
 
 def _differ_at_mstar(graph, xv: Sequence[int], yv: Sequence[int]) -> bool:
@@ -280,7 +270,12 @@ def _differ_at_mstar(graph, xv: Sequence[int], yv: Sequence[int]) -> bool:
     return any(d)
 
 
-def _t_equal_rewrite(graph, a: TElement, b: TElement, bounds: Bounds) -> Tri:
+def t_equal_rewrite(graph, a: TElement, b: TElement, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
+    """Equality by bounded rewriting on the degree skew product.
+
+    Applies to every graph, lazy ones and ones with sources included; an
+    exhausted search is unknown.
+    """
     skew = skew_product(graph)
     inner = rw.congruent(skew, to_skew(a), to_skew(b),
                          bound=bounds.rewrite, node_cap=bounds.node_cap)
@@ -290,8 +285,7 @@ def _t_equal_rewrite(graph, a: TElement, b: TElement, bounds: Bounds) -> Tri:
     return yes(cert) if inner.is_yes else no(cert)
 
 
-def t_leq(graph, a: TElement, b: TElement, mode: str = "auto",
-          bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
+def t_leq(graph, a: TElement, b: TElement, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     """Is a <= b in the algebraic order (some c with a + c = b)?
 
     Uses the level picture: a <= b exactly when some push A_m makes the
@@ -307,16 +301,11 @@ def t_leq(graph, a: TElement, b: TElement, mode: str = "auto",
         return yes(cert) if all(kb[k] >= v for k, v in ka.items()) else no(cert)
     if graph.is_lazy or graph.has_sources():
         return unknown("order is only decided on finite graphs without sources")
-    t = common_level(a, b, graph.k)
-    xv = push_to_level(graph, a, t).vector(graph.vertices)
-    yv = push_to_level(graph, b, t).vector(graph.vertices)
-    if all(p <= q for p, q in zip(xv, yv)):
-        return yes(Certificate("order_equalizer", {"a": a, "b": b, "level": t, "m": dg.zero(graph.k)}))
-    for m in _equalizer_exponents(graph.k, bounds.push):
-        am = graph.coord_matrix(m)
-        if all(p <= q for p, q in zip(il.vecmat(xv, am), il.vecmat(yv, am))):
-            return yes(Certificate("order_equalizer", {"a": a, "b": b, "level": t, "m": m}))
-    return unknown(f"no order equalizer with |m|_1 <= {bounds.push}")
+    t, x, y = _level_vectors(graph, a, b)
+    m = _first_push(graph, x, y, _leq, bounds.push)
+    if m is None:
+        return unknown(f"no order equalizer with |m|_1 <= {bounds.push}")
+    return yes(Certificate("order_equalizer", {"a": a, "b": b, "level": t, "m": m}))
 
 
 # ---------------------------------------------------------------------------
@@ -393,40 +382,46 @@ def factor_into_atoms(graph, a: TElement, bounds: Bounds = DEFAULT_BOUNDS) -> Op
     """Rewrite a into an equal sum of atoms, or None within the bound.
 
     Breadth-first over expansions of non-leaf generators, branching over
-    colors; the first all-leaf element found is returned.
+    colors, for ``bounds.rewrite`` rounds and at most ``bounds.node_cap``
+    elements; the first all-leaf element found is returned.
     """
-    def leafy(v):
+    @functools.cache
+    def leafy(v) -> bool:
         return is_leaf(graph, v, depth=bounds.leaf_depth if graph.is_lazy else None).is_yes
 
-    seen = {a}
-    frontier = [a]
-    for _ in range(bounds.rewrite):
+    expansion = functools.cache(functools.partial(rw.expansion, graph))
+    # candidates are {generator: coefficient} dicts, seen as frozensets
+    seen = {frozenset(a.items)}
+    frontier = [dict(a.items)]
+    for depth in range(bounds.rewrite + 1):
+        for cur in frontier:
+            if all(leafy(v) for v, _ in cur):
+                return TElement.from_pairs(cur.items())
+        if depth == bounds.rewrite:
+            return None
         nxt = []
         for cur in frontier:
-            bad = [(v, n) for (v, n), _ in cur.items if not leafy(v)]
-            if not bad:
-                return cur
-            for (v, n) in bad:
+            for v, n in cur:
+                if leafy(v):
+                    continue
                 for color in range(graph.k):
-                    exp = rw.expansion(graph, v, color)
+                    exp = expansion(v, color)
                     if exp is None:
                         continue
-                    shifted = TElement.from_pairs(
-                        [((w, dg.add(n, dg.unit(graph.k, color))), c)
-                         for w, c in exp.items])
-                    rest_items = list(cur.items)
-                    out = TElement.from_pairs(
-                        [(g, c - 1 if g == (v, n) else c) for g, c in rest_items])
-                    cand = out + shifted
-                    if cand not in seen:
-                        seen.add(cand)
+                    cand = dict(cur)
+                    cand[(v, n)] -= 1
+                    if not cand[(v, n)]:
+                        del cand[(v, n)]
+                    step = dg.add(n, dg.unit(graph.k, color))
+                    for w, c in exp.items:
+                        cand[(w, step)] = cand.get((w, step), 0) + c
+                    key = frozenset(cand.items())
+                    if key not in seen:
+                        if len(seen) >= bounds.node_cap:
+                            return None
+                        seen.add(key)
                         nxt.append(cand)
         frontier = nxt
-        if not frontier:
-            break
-    for cur in frontier:
-        if all(leafy(v) for (v, _), _ in cur.items):
-            return cur
     return None
 
 
@@ -455,8 +450,10 @@ def _period_candidates(k: int, radius: int) -> List[Vec]:
     return out
 
 
-def leaf_orbit_collision(graph, v: VertexId, radius: int) -> Optional[Tuple[Vec, Vec]]:
-    """Two degrees at which the unique path from a leaf visits one vertex.
+def leaf_orbit_collision(graph, v: VertexId,
+                         radius: int) -> Optional[Tuple[Vec, Vec, VertexId]]:
+    """Two degrees at which the unique path from a leaf visits one vertex,
+    and that vertex.
 
     Walks the orbit over the box [0, radius]^k in 1-norm order (earlier
     colors first on ties) and reports the first revisit; on a finite graph a
@@ -484,13 +481,13 @@ def leaf_orbit_collision(graph, v: VertexId, radius: int) -> Optional[Tuple[Vec,
                     key=lambda m: (dg.norm1(m), tuple(-x for x in m))):
         w = vertex_at(m)
         if w in first:
-            return first[w], m
+            return first[w], m, w
         first[w] = m
     return None
 
 
-def find_periodic_element(graph, bounds: Bounds = DEFAULT_BOUNDS,
-                          mode: str = "auto") -> Optional[Tuple[TElement, Vec]]:
+def find_periodic_element(graph,
+                          bounds: Bounds = DEFAULT_BOUNDS) -> Optional[Tuple[TElement, Vec]]:
     """Search the bounded box for a nonzero a and p != 0 with act(p, a) = a.
 
     Candidates are ordered simple-first: single generators (for which
@@ -522,7 +519,7 @@ def find_periodic_element(graph, bounds: Bounds = DEFAULT_BOUNDS,
             budget -= 1
             if budget < 0:
                 return None
-            if t_equal(graph, a, act(p, a), mode=mode, bounds=scan).is_yes:
+            if t_equal(graph, a, act(p, a), bounds=scan).is_yes:
                 return a, p
 
     if bounds.support >= 2:
@@ -537,7 +534,7 @@ def find_periodic_element(graph, bounds: Bounds = DEFAULT_BOUNDS,
                             budget -= 1
                             if budget < 0:
                                 return None
-                            if t_equal(graph, a, act(p, a), mode=mode, bounds=scan).is_yes:
+                            if t_equal(graph, a, act(p, a), bounds=scan).is_yes:
                                 return a, p
     return None
 
@@ -569,32 +566,18 @@ def acts_freely(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
                                   {"element": witness[0], "period": witness[1]}))
         leaf_set = atoms(graph, bounds)
         if leaf_set:
-            v = leaf_set[0]
-            hit = leaf_orbit_collision(graph, v, len(graph.vertices) + 1)
+            hit = leaf_orbit_collision(graph, leaf_set[0], len(graph.vertices) + 1)
             if hit is not None:
-                m1, m2 = hit
-                p = _normalize_period(dg.sub(m2, m1))
-                u = _leaf_vertex_at(graph, v, m1)
+                m1, m2, u = hit
                 return no(Certificate("periodic_pair",
                                       {"element": TElement.gen(u, dg.zero(k)),
-                                       "period": p}))
+                                       "period": _normalize_period(dg.sub(m2, m1))}))
 
     found = find_periodic_element(graph, bounds)
     if found is not None:
         a, p = found
         return no(Certificate("periodic_pair", {"element": a, "period": p}))
     return unknown("no periodic element in the bounded search box")
-
-
-def _leaf_vertex_at(graph, v: VertexId, m: Vec) -> VertexId:
-    cur = v
-    for i in range(graph.k):
-        for _ in range(m[i]):
-            out = graph.out_edges(cur, i)
-            if len(out) != 1:
-                raise ValueError(f"{v!r} is not a leaf")
-            cur = out[0].source
-    return cur
 
 
 def _single_vertex_periodic_pair(graph, counts: Sequence[int]) -> Tuple[TElement, Vec]:
@@ -623,35 +606,22 @@ def refine(graph, a1: TElement, a2: TElement, b1: TElement, b2: TElement,
     if not eq.is_yes:
         return None
     t = common_level(a1 + a2, b1 + b2, graph.k)
-    m = dg.zero(graph.k)
-    if eq.certificate.kind == "equalizer":
-        m = eq.certificate.data["m"]
+    m = eq.certificate.data["m"] if eq.certificate.kind == "equalizer" else dg.zero(graph.k)
     level = dg.add(t, m)
-    vecs = {}
-    for name, el in (("a1", a1), ("a2", a2), ("b1", b1), ("b2", b2)):
-        vecs[name] = push_to_level(graph, el, level).vector(graph.vertices)
-    parts = {key: [0] * len(graph.vertices)
-             for key in (("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2"))}
-    for j in range(len(graph.vertices)):
-        x1, x2 = vecs["a1"][j], vecs["a2"][j]
-        y1, y2 = vecs["b1"][j], vecs["b2"][j]
-        if x1 + x2 != y1 + y2:
-            return None
-        c11 = min(x1, y1)
-        c12 = x1 - c11
-        c21 = y1 - c11
-        c22 = x2 - c21
-        parts[("a1", "b1")][j] = c11
-        parts[("a1", "b2")][j] = c12
-        parts[("a2", "b1")][j] = c21
-        parts[("a2", "b2")][j] = c22
+    _, x1, x2 = _level_vectors(graph, a1, a2, level)
+    _, y1, y2 = _level_vectors(graph, b1, b2, level)
+    if any(p + q != r + s for p, q, r, s in zip(x1, x2, y1, y2)):
+        return None
+    c11 = tuple(map(min, x1, y1))
+    c12 = tuple(map(operator.sub, x1, c11))
+    c21 = tuple(map(operator.sub, y1, c11))
+    c22 = tuple(map(operator.sub, x2, c21))
 
     def to_elem(vec) -> TElement:
         return TElement.from_pairs([((v, level), vec[j])
                                     for j, v in enumerate(graph.vertices) if vec[j]])
 
-    return [[to_elem(parts[("a1", "b1")]), to_elem(parts[("a1", "b2")])],
-            [to_elem(parts[("a2", "b1")]), to_elem(parts[("a2", "b2")])]]
+    return [[to_elem(c11), to_elem(c12)], [to_elem(c21), to_elem(c22)]]
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +633,8 @@ def _replay_level_equal(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     if d["level"] is None:
         return d["a"] == d["b"]
-    return push_to_level(graph, d["a"], d["level"]) == push_to_level(graph, d["b"], d["level"])
+    _, x, y = _level_vectors(graph, d["a"], d["b"], d["level"])
+    return x == y
 
 
 @register_replayer("zero_class_t")
@@ -672,21 +643,11 @@ def _replay_zero_t(graph, tri: Tri) -> bool:
     return d["a"].is_zero() != d["b"].is_zero()
 
 
-@register_replayer("exact_level")
-def _replay_exact_level(graph, tri: Tri) -> bool:
-    d = tri.certificate.data
-    if not is_exact(graph):
-        return False
-    return push_to_level(graph, d["a"], d["level"]) != push_to_level(graph, d["b"], d["level"])
-
-
 @register_replayer("equalizer")
 def _replay_equalizer(graph, tri: Tri) -> bool:
     d = tri.certificate.data
-    xv = push_to_level(graph, d["a"], d["level"]).vector(graph.vertices)
-    yv = push_to_level(graph, d["b"], d["level"]).vector(graph.vertices)
-    am = graph.coord_matrix(d["m"])
-    return il.vecmat(xv, am) == il.vecmat(yv, am)
+    _, x, y = _level_vectors(graph, d["a"], d["b"], d["level"])
+    return _holds_at(graph, x, y, d["m"], operator.eq)
 
 
 @register_replayer("kernel_stable")
@@ -696,9 +657,8 @@ def _replay_kernel_stable(graph, tri: Tri) -> bool:
         return False
     if tuple(d["m"]) != (len(graph.vertices),) * graph.k:
         return False
-    xv = push_to_level(graph, d["a"], d["level"]).vector(graph.vertices)
-    yv = push_to_level(graph, d["b"], d["level"]).vector(graph.vertices)
-    return _differ_at_mstar(graph, xv, yv)
+    _, x, y = _level_vectors(graph, d["a"], d["b"], d["level"])
+    return _differ_at_mstar(graph, x, y)
 
 
 @register_replayer("order_equalizer")
@@ -706,10 +666,8 @@ def _replay_order_equalizer(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     if d["level"] is None:
         return d["a"] == d["b"] or d["a"].is_zero()
-    xv = push_to_level(graph, d["a"], d["level"]).vector(graph.vertices)
-    yv = push_to_level(graph, d["b"], d["level"]).vector(graph.vertices)
-    am = graph.coord_matrix(d["m"])
-    return all(p <= q for p, q in zip(il.vecmat(xv, am), il.vecmat(yv, am)))
+    _, x, y = _level_vectors(graph, d["a"], d["b"], d["level"])
+    return _holds_at(graph, x, y, d["m"], _leq)
 
 
 @register_replayer("graded_keys")

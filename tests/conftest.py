@@ -64,6 +64,18 @@ def branching_chain():
 
 
 @pytest.fixture
+def cycles_3_to_13():
+    """Disjoint directed cycles of lengths 3, 5, 7, 11 and 13: 39 vertices,
+    no sources, and a reachability semigroup of lcm = 15015 states."""
+    verts, arrows = [], []
+    for n in (3, 5, 7, 11, 13):
+        cycle = [f"c{n}.{i}" for i in range(n)]
+        verts += cycle
+        arrows += [(f"a{n}.{i}", v, cycle[(i + 1) % n]) for i, v in enumerate(cycle)]
+    return families.pullback_2graph(verts, arrows)
+
+
+@pytest.fixture
 def skeleton_pullbacks():
     """Pullbacks of seeded digraphs on 5 to 16 vertices, vertex i having
     1 + i % 2 out-arrows in the range sense: sizes beyond the fixtures,

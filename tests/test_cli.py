@@ -181,16 +181,9 @@ def test_invalid_documents_exit_2(tmp_path, capsys):
             assert out == "" and err.startswith("invalid graph: "), argv
 
 
-def test_semigroup_cap_gives_unknown(tmp_path, capsys):
-    # disjoint directed cycles of lengths 3, 5, 7, 11 and 13: 39 vertices,
-    # no sources, and a reachability semigroup of lcm = 15015 states
-    verts, arrows = [], []
-    for n in (3, 5, 7, 11, 13):
-        cycle = [f"c{n}.{i}" for i in range(n)]
-        verts += cycle
-        arrows += [(f"a{n}.{i}", v, cycle[(i + 1) % n]) for i, v in enumerate(cycle)]
+def test_semigroup_cap_gives_unknown(tmp_path, capsys, cycles_3_to_13):
     p = tmp_path / "cycles.json"
-    p.write_text(docio.dump_graph(families.pullback_2graph(verts, arrows)) + "\n")
+    p.write_text(docio.dump_graph(cycles_3_to_13) + "\n")
     code, out, _ = run(["classify", str(p), "--format", "structured"], capsys)
     assert code == cli.EXIT_OK
     atomic = json.loads(out)["properties"]["atomic"]
@@ -199,6 +192,18 @@ def test_semigroup_cap_gives_unknown(tmp_path, capsys):
     assert code == cli.EXIT_STRICT_UNKNOWN
     code, _, err = run(["closure", str(p), "c3.0"], capsys)
     assert code == cli.EXIT_UNKNOWN and "4096 states" in err
+
+
+def test_lattice_limits_exit_codes(tmp_path, capsys):
+    # a valid graph past LATTICE_LIMIT is a search limit (unknown), and a
+    # lazy family has no finite lattice to list (usage error, as in gen)
+    p = tmp_path / "grid44.json"
+    p.write_text(docio.dump_graph(families.finite_grid(2, (4, 4))) + "\n")
+    assert run(["validate", str(p)], capsys)[0] == cli.EXIT_OK
+    code, out, err = run(["lattice", str(p)], capsys)
+    assert code == cli.EXIT_UNKNOWN and out == "" and "limited to 20" in err
+    code, out, _ = run(["lattice", "grid2"], capsys)
+    assert code == cli.EXIT_PARSE and out == ""
 
 
 def test_flags_take_only_nonnegative_integers(capsys):

@@ -128,10 +128,18 @@ def test_prime_ideal_negative():
     assert replay(g, empty)
 
 
+def test_prime_ideal_past_the_semigroup_cap(cycles_3_to_13):
+    # primality needs plain reachability only, never the semigroup
+    g = cycles_3_to_13
+    tri = is_prime_ideal(g, frozenset())
+    assert tri.is_no and tri.certificate.kind == "not_prime"
+    assert replay(g, tri)
+
+
 def test_boolean_reach_finite(looptail):
     reach = BooleanReach(looptail)
     assert len(reach.states) >= 1
-    r = reach.any_reach()
+    r = looptail.reach_rows()
     idx = looptail.vertex_index
     assert r[idx["a"]] >> idx["b"] & 1  # a reaches b through the tail
     assert not r[idx["b"]] >> idx["a"] & 1

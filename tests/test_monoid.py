@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,8 +8,8 @@ from kgraphs import intlinalg as il
 from kgraphs.monoid import (Bounds, DEFAULT_BOUNDS, TElement, _equalizer_exponents,
                             act, acts_freely, atoms, common_level,
                             factor_into_atoms, find_periodic_element, forget,
-                            graded_keys, is_atom, is_atomic, is_exact,
-                            m_congruent, push_to_level, t_equal, t_leq)
+                            graded_keys, is_atom, is_atomic, m_congruent,
+                            push_to_level, t_equal, t_equal_rewrite, t_leq)
 from kgraphs.tri import Certificate, no, replay, yes
 
 
@@ -23,15 +24,17 @@ def gen(v, n, c=1):
 def test_push_single_vertex(one_vertex_3x2):
     g = one_vertex_3x2
     v = gen("v", (0, 0))
-    assert push_to_level(g, v, (1, 0)).coeffs == (("v", 3),)
-    assert push_to_level(g, v, (1, 1)).coeffs == (("v", 6),)
+    assert push_to_level(g, v, (1, 0)) == (3,)
+    assert push_to_level(g, v, (1, 1)) == (6,)
 
 
 def test_t_equal_exact_mode(one_vertex_3x2):
+    # injective color matrices: the decisive exponent's "no" covers them
     g = one_vertex_3x2
     assert t_equal(g, gen("v", (0, 0)), gen("v", (0, 0), 1)).is_yes
-    tri = t_equal(g, gen("v", (0, 0)), gen("v", (1, 0)), mode="exact")
-    assert tri.is_no and tri.certificate.kind == "exact_level"
+    tri = t_equal(g, gen("v", (0, 0)), gen("v", (1, 0)))
+    assert tri.is_no and tri.certificate.kind == "kernel_stable"
+    assert replay(g, tri)
     assert t_equal(g, gen("v", (1, 0), 3), gen("v", (0, 0))).is_yes
 
 
@@ -45,7 +48,7 @@ def test_t_equal_level_vs_rewrite_oracle():
             a = gen(rng.choice(g.vertices), (rng.randint(0, 2), rng.randint(0, 2)))
             b = gen(rng.choice(g.vertices), (rng.randint(0, 2), rng.randint(0, 2)))
             fast = t_equal(g, a, b)
-            oracle = t_equal(g, a, b, mode="rewrite", bounds=small)
+            oracle = t_equal_rewrite(g, a, b, small)
             assert not fast.is_unknown  # finite, no sources: always decided
             if not oracle.is_unknown:
                 assert fast.value == oracle.value, (seed, a, b)
@@ -56,10 +59,9 @@ def test_t_equal_level_vs_rewrite_oracle():
 def full_scan_t_equal(graph, a, b, bounds=DEFAULT_BOUNDS):
     """Reference: every exponent with |m|_1 < k|V| in order, then m*."""
     t = common_level(a, b, graph.k)
-    x, y = push_to_level(graph, a, t), push_to_level(graph, b, t)
-    if a == b or x.coeffs == y.coeffs:
+    xv, yv = push_to_level(graph, a, t), push_to_level(graph, b, t)
+    if a == b or xv == yv:
         return t_equal(graph, a, b, bounds=bounds)
-    xv, yv = x.vector(graph.vertices), y.vector(graph.vertices)
     cap = min(bounds.push, graph.k * len(graph.vertices) - 1)
     mstar = (len(graph.vertices),) * graph.k
     for m in [*_equalizer_exponents(graph.k, cap), mstar]:
@@ -73,7 +75,7 @@ def test_decisive_exponent_first_matches_full_scan(skeleton_pullbacks):
     graphs = [families.random_2graph(seed) for seed in range(40)] + skeleton_pullbacks
     kinds = set()
     for i, g in enumerate(graphs):
-        if is_exact(g) or not g.vertices:
+        if not g.vertices:
             continue
         rng = random.Random(i)
         for _ in range(40):
@@ -95,6 +97,16 @@ def test_t_equal_certificates_replay(loop_pair_tail, cycle4):
         tri = t_equal(g, a, b)
         assert not tri.is_unknown
         assert replay(g, tri)
+
+
+def test_forged_kernel_stable_no_is_rejected(cycle4):
+    # u(0,0) = u(4,0) on the injective cycle4: a "no" claiming that the
+    # difference survives m* must fail replay
+    a, b = gen("u", (0, 0)), gen("u", (4, 0))
+    assert t_equal(cycle4, a, b).is_yes
+    forged = no(Certificate("kernel_stable", {"a": a, "b": b, "level": (4, 0),
+                                              "m": (4, 4)}))
+    assert not replay(cycle4, forged)
 
 
 def test_t_equal_graded_keys(grid2):
@@ -174,6 +186,13 @@ def test_atoms_loop_pair_tail(loop_pair_tail):
     g = loop_pair_tail
     assert set(atoms(g)) == {"u", "v"}
     assert is_atomic(g).is_yes
+
+
+def test_factor_into_atoms_gives_up_at_the_node_cap(looptail):
+    # a is no leaf and a(0,0)*2 never factors into atoms
+    start = time.process_time()
+    assert factor_into_atoms(looptail, gen("a", (0, 0), 2), DEFAULT_BOUNDS) is None
+    assert time.process_time() - start < 2
 
 
 def test_factor_into_atoms(cycle4):
