@@ -20,21 +20,24 @@ from typing import Any, Dict, List, Optional, Tuple
 from .kgraph import (VertexId, bfs, is_leaf, near_targets, quotient_graph,
                      shared_fact, single_sources, validate)
 from .lattice import (LATTICE_LIMIT, SemigroupCapExceeded, all_hs_subsets,
-                      mask_closure, saturated_hereditary_closure)
+                      proper_vertex_closures, saturated_hereditary_closure)
 from .monoid import (Bounds, DEFAULT_BOUNDS, TElement, act, acts_freely, atoms,
                      is_atomic, leaf_orbit_collision, t_equal)
 from .tri import Certificate, Tri, no, register_replayer, unknown, yes
 
 
 def is_cofinal(graph) -> Tri:
-    """Is the hereditary saturated lattice trivial ({empty, everything})?"""
-    if graph.is_lazy or len(graph.vertices) > LATTICE_LIMIT:
-        return unknown(f"cofinality needs a finite graph in the {LATTICE_LIMIT}-vertex lattice limit")
+    """Is the hereditary saturated lattice trivial ({empty, everything})?
+
+    Decided from the |V| one-vertex closures, at any size; a "no" names the
+    smallest proper hereditary saturated set.
+    """
+    if graph.is_lazy:
+        return unknown("cofinality needs a finite graph")
     try:
-        subsets = all_hs_subsets(graph)
+        proper = proper_vertex_closures(graph)
     except SemigroupCapExceeded as exc:
         return unknown(f"cofinality: {exc}")
-    proper = [h for h in subsets if h and h != frozenset(graph.vertices)]
     if proper:
         return no(Certificate("proper_hs", {"h": tuple(sorted(proper[0], key=repr))}))
     return yes(Certificate("trivial_lattice", {}))
@@ -62,7 +65,7 @@ def count_line_point_classes(graph, bounds: Bounds = DEFAULT_BOUNDS) -> int:
     once for all of them.
     """
     pts = line_points(graph, bounds)
-    radius = bounds.sample_depth * 2 if graph.is_lazy else len(getattr(graph, "vertices", ())) + 1
+    radius = bounds.sample_depth * 2 if graph.is_lazy else len(graph.vertices) + 1
     parent = list(range(len(pts)))
 
     def find(i):
@@ -89,8 +92,7 @@ def socle_vertices(graph, bounds: Bounds = DEFAULT_BOUNDS) -> List[VertexId]:
     pts = line_points(graph, bounds)
     if not pts:
         return []
-    closure = saturated_hereditary_closure(graph, pts,
-                                           depth=bounds.sample_depth if graph.is_lazy else 6)
+    closure = saturated_hereditary_closure(graph, pts, depth=bounds.sample_depth)
     return sorted(closure, key=repr)
 
 
@@ -279,7 +281,7 @@ def kp_report(graph, bounds: Bounds = DEFAULT_BOUNDS) -> ClassificationReport:
             d = free.certificate.data
             witness = (d["element"], tuple(d["period"]))
         lattice_sets = None
-        if not cofinal.is_unknown:  # the lattice was enumerated
+        if not cofinal.is_unknown and len(graph.vertices) <= LATTICE_LIMIT:
             lattice_sets = [tuple(sorted(h, key=repr)) for h in all_hs_subsets(graph)]
         return ClassificationReport(
             name=getattr(graph, "name", ""), rank=graph.k, has_sources=has_src,
@@ -299,12 +301,7 @@ def kp_report(graph, bounds: Bounds = DEFAULT_BOUNDS) -> ClassificationReport:
 
 @register_replayer("trivial_lattice")
 def _replay_trivial_lattice(graph, tri: Tri) -> bool:
-    # every nonempty hereditary saturated set contains a one-vertex closure
-    if graph.is_lazy:
-        return False
-    close = mask_closure(graph)
-    full = (1 << len(graph.vertices)) - 1
-    return all(close(1 << j) == full for j in range(len(graph.vertices)))
+    return not graph.is_lazy and not proper_vertex_closures(graph)
 
 
 @register_replayer("proper_hs")

@@ -102,6 +102,7 @@ class KGraph:
 
         self._coord_cache: Dict[Tuple[int, ...], il.Matrix] = {}
         self._reach: Optional[Tuple[int, ...]] = None
+        self._semigroup: Any = None  # lattice.semigroup, built on first use
 
     # -- basic queries -------------------------------------------------
 

@@ -3,16 +3,17 @@
 A vertex set H is hereditary when every edge with range in H has its source
 in H, and saturated when a vertex all of whose degree-n sources lie in H (for
 some n with at least one such path) itself lies in H.  On a finite graph the
-relevant reachability data is the finite commutative semigroup of boolean
-matrices generated by the supports of the color matrices, which replaces the
-unbounded quantifier over degrees.
+unbounded quantifier over degrees becomes one over the finite commutative
+semigroup of boolean matrices generated by the supports of the color
+matrices: graph structure, built once and kept on the graph like its
+coordinate matrices, so every closure, check and replay reuses it.
 
-On a finite graph the smallest hereditary saturated set containing a vertex
-set is computed on vertex bitmasks, and the lattice of all hereditary
-saturated sets is enumerated as the closed sets of that closure: starting
-from the closure of the empty set, each closed set C yields the closures of
-C plus one vertex, so the work grows with the lattice, not with 2^|V|
-(Ganter & Wille, *Formal Concept Analysis*, 1999).
+The smallest hereditary saturated set containing a vertex set is computed
+on vertex bitmasks.  Every nonempty closed set contains the closure of each
+of its vertices, so the |V| one-vertex closures decide cofinality at any
+size; the whole lattice is listed as the closed sets of the closure, each
+closed C yielding the closures of C plus one vertex, so the work grows with
+the lattice, not with 2^|V| (Ganter & Wille, *Formal Concept Analysis*, 1999).
 
 Hereditary saturated sets correspond to order ideals of the graded monoid:
 H generates the ideal of elements that push inside H, and an ideal is
@@ -22,11 +23,12 @@ recovered from the vertices whose generators it contains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import degrees as dg
 from . import intlinalg as il
-from .kgraph import GraphLike, VertexId, shared_fact, walk
+from .kgraph import GraphLike, VertexId, bfs, shared_fact, walk
 from .monoid import TElement, common_level, push_to_level
 from .tri import Certificate, Tri, no, register_replayer, yes
 
@@ -47,30 +49,22 @@ class BooleanReach:
 
     Generated by closing the color supports under boolean products; the
     semigroup is commutative (the integer matrices commute) and finite, so
-    the closure terminates.  ``size_cap`` guards degenerate blowups: past it
-    the build raises :class:`SemigroupCapExceeded`, which the classifiers
-    turn into ``unknown``.  Each state is a tuple of row bitmasks (see
+    the closure terminates.  Past ``SEMIGROUP_CAP`` states the build raises
+    :class:`SemigroupCapExceeded`, which the classifiers turn into
+    ``unknown``.  Each state is a tuple of row bitmasks (see
     :mod:`kgraphs.intlinalg`).
     """
 
-    def __init__(self, graph, size_cap: int = SEMIGROUP_CAP):
+    def __init__(self, graph):
         gens = [il.support(graph.color_matrix(i)) for i in range(graph.k)]
-        states: Dict[Tuple[int, ...], None] = dict.fromkeys(gens)
-        frontier = list(states)
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for g in gens:
-                    prod = tuple(il.bool_vecmat(row, g) for row in s)
-                    if prod not in states:
-                        if len(states) >= size_cap:
-                            raise SemigroupCapExceeded(
-                                "boolean reachability semigroup exceeded "
-                                f"{size_cap} states (lattice.SEMIGROUP_CAP)")
-                        states[prod] = None
-                        nxt.append(prod)
-            frontier = nxt
-        self.states: List[Tuple[int, ...]] = list(states)
+
+        def products(s):
+            return (tuple(il.bool_vecmat(row, g) for row in s) for g in gens)
+        found = bfs(gens, products, None)
+        self.states: List[Tuple[int, ...]] = list(islice(found, SEMIGROUP_CAP))
+        if next(found, None) is not None:
+            raise SemigroupCapExceeded("boolean reachability semigroup exceeded "
+                                       f"{SEMIGROUP_CAP} states (lattice.SEMIGROUP_CAP)")
 
     def saturates(self, row: int, hmask: int) -> bool:
         """Is there a degree n != 0 at which vertex ``row`` has paths and
@@ -78,10 +72,24 @@ class BooleanReach:
         return any(s[row] and not s[row] & ~hmask for s in self.states)
 
 
+def semigroup(graph) -> BooleanReach:
+    """The graph's semigroup, built on first use and kept on the graph; a
+    build past the cap keeps nothing, so the next use raises again."""
+    if graph._semigroup is None:
+        graph._semigroup = BooleanReach(graph)
+    return graph._semigroup
+
+
 def _mask(graph, vs: Iterable[VertexId]) -> int:
     """The bitmask of the vertices of ``vs`` that lie in the graph."""
     idx = graph.vertex_index
     return sum(1 << idx[v] for v in set(vs) if v in idx)
+
+
+def _sorted_sets(graph, masks: Iterable[int]) -> List[FrozenSet[VertexId]]:
+    """The vertex sets of ``masks``, smallest first, then by their reprs."""
+    sets = (frozenset(v for j, v in enumerate(graph.vertices) if m >> j & 1) for m in masks)
+    return sorted(sets, key=lambda h: (len(h), sorted(map(repr, h))))
 
 
 def _expands(mask: int, supp: Sequence[int]) -> bool:
@@ -152,7 +160,7 @@ def mask_closure(graph) -> Callable[[int], int]:
     mask's bits closes it hereditarily; every vertex that then saturates
     adds its own row, until nothing changes.
     """
-    reach = BooleanReach(graph)
+    reach = semigroup(graph)
     down = graph.reach_rows()
 
     def close(x: int) -> int:
@@ -172,13 +180,18 @@ def is_hereditary(graph, h: Iterable[VertexId]) -> bool:
     return all(e.source in hs for e in graph.edges if e.range in hs)
 
 
-def is_saturated(graph, h: Iterable[VertexId],
-                 reach: Optional[BooleanReach] = None) -> bool:
-    hs = set(h)
-    reach = reach or BooleanReach(graph)
-    hmask = _mask(graph, hs)
-    return not any(reach.saturates(graph.vertex_index[u], hmask)
-                   for u in graph.vertices if u not in hs)
+def is_saturated(graph, h: Iterable[VertexId]) -> bool:
+    hmask, reach = _mask(graph, h), semigroup(graph)
+    return not any(reach.saturates(j, hmask)
+                   for j in range(len(graph.vertices)) if not hmask >> j & 1)
+
+
+def proper_vertex_closures(graph) -> List[FrozenSet[VertexId]]:
+    """The one-vertex closures other than V, smallest first (finite graphs):
+    the lattice is trivial exactly when there are none, and the first is its
+    smallest proper member."""
+    close, n = mask_closure(graph), len(graph.vertices)
+    return _sorted_sets(graph, {close(1 << j) for j in range(n)} - {(1 << n) - 1})
 
 
 LATTICE_LIMIT = 20  # vertices; the lattice can have up to 2^|V| sets
@@ -191,20 +204,11 @@ def all_hs_subsets(graph) -> List[FrozenSet[VertexId]]:
         raise ValueError("the full lattice needs a finite graph")
     if len(graph.vertices) > LATTICE_LIMIT:
         raise ValueError(f"lattice enumeration is limited to {LATTICE_LIMIT} vertices")
-    close = mask_closure(graph)
-    verts = graph.vertices
-    found = {close(0)}
-    todo = list(found)
-    while todo:
-        c = todo.pop()
-        for j in range(len(verts)):
-            if not c >> j & 1:
-                d = close(c | 1 << j)
-                if d not in found:
-                    found.add(d)
-                    todo.append(d)
-    out = [frozenset(v for j, v in enumerate(verts) if m >> j & 1) for m in found]
-    return sorted(out, key=lambda h: (len(h), sorted(map(repr, h))))
+    close, n = mask_closure(graph), len(graph.vertices)
+
+    def above(c):
+        return (close(c | 1 << j) for j in range(n) if not c >> j & 1)
+    return _sorted_sets(graph, bfs([close(0)], above, None))
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +242,20 @@ def ideal_membership(graph, a: TElement, h: Iterable[VertexId]) -> Tri:
     hmask = _mask(graph, hs)
     gens = [il.support(graph.color_matrix(i)) for i in range(graph.k)]
     trail: Dict[int, List[int]] = {row: []}
-    frontier = [row]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            if not state & ~hmask:
-                return yes(Certificate("ideal_member",
-                                       {"a": a, "h": hkey, "level": t,
-                                        "path": trail[state]}))
-            for i, gen in enumerate(gens):
-                # the expansion relation only applies where out-edges exist
-                if not _expands(state, gen):
-                    continue
+
+    def expand(state):
+        for i, gen in enumerate(gens):
+            # the expansion relation only applies where out-edges exist
+            if _expands(state, gen):
                 new = il.bool_vecmat(state, gen)
                 if new not in trail:
                     trail[new] = trail[state] + [i]
-                    nxt.append(new)
-        frontier = nxt
+                yield new
+    for state in bfs([row], expand, None):
+        if not state & ~hmask:
+            return yes(Certificate("ideal_member",
+                                   {"a": a, "h": hkey, "level": t,
+                                    "path": trail[state]}))
     return no(Certificate("ideal_nonmember", {"a": a, "h": hkey}))
 
 
@@ -286,8 +287,7 @@ def is_prime_ideal(graph, h: Iterable[VertexId]) -> Tri:
     comp = [v for v in graph.vertices if v not in hs]
     if not comp:
         return no(Certificate("not_prime", {"h": hkey, "reason": "improper"}))
-    reach = graph.reach_rows()
-    idx = graph.vertex_index
+    reach, idx = graph.reach_rows(), graph.vertex_index
     cmask = _mask(graph, comp)
     for v in comp:
         for w in comp:
@@ -328,8 +328,7 @@ def _replay_not_prime(graph, tri: Tri) -> bool:
     comp = [u for u in graph.vertices if u not in hs]
     if d.get("reason") == "improper":
         return not comp
-    reach = graph.reach_rows()
-    idx = graph.vertex_index
+    reach, idx = graph.reach_rows(), graph.vertex_index
     v, w = d["v"], d["w"]
     if v in hs or w in hs:
         return False

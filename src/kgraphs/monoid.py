@@ -24,13 +24,14 @@ import functools
 import operator
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import degrees as dg
 from . import intlinalg as il
 from . import rewrite as rw
-from .kgraph import GraphLike, VertexId, is_leaf, leaves, shared_fact, skew_product
+from .kgraph import (LAZY_LEAF_DEPTH, GraphLike, VertexId, is_leaf, leaves,
+                     shared_fact, skew_product)
 from .tri import Certificate, Tri, no, register_replayer, unknown, yes
 
 Vec = Tuple[int, ...]
@@ -42,12 +43,12 @@ class Bounds:
 
     push: int = 16            # 1-norm cap on equalizer exponents
     rewrite: int = 24         # rounds of bidirectional rewrite search
-    node_cap: int = 20000     # visited-state cap for rewrite searches
+    node_cap: int = rw.DEFAULT_NODE_CAP  # visited-state cap for rewrite searches
     offset_radius: int = 4    # offset box for periodic-element candidates
     period_radius: int = 4    # period box for periodic-element candidates
     support: int = 2          # max support of periodic-element candidates
     coeff: int = 4            # max coefficient of periodic-element candidates
-    leaf_depth: int = 64      # walk depth for leaf checks on lazy graphs
+    leaf_depth: int = LAZY_LEAF_DEPTH  # walk depth for leaf checks on lazy graphs
     sample_depth: int = 6     # vertex sampling depth on lazy graphs
 
 
@@ -495,7 +496,6 @@ def find_periodic_element(graph,
     Only certified-yes equality verdicts count; None means the bounded
     search found nothing, not that nothing exists.
     """
-    k = graph.k
     if _graded_injective(graph):
         return None  # translation moves every key multiset: nothing periodic
     if graph.is_lazy:
@@ -511,17 +511,20 @@ def find_periodic_element(graph,
     else:
         scan = bounds
         budget = 20000
-    periods = _period_candidates(k, bounds.period_radius)
+    for a, p in islice(_periodic_candidates(graph, verts, bounds), budget):
+        if t_equal(graph, a, act(p, a), bounds=scan).is_yes:
+            return a, p
+    return None
 
+
+def _periodic_candidates(graph, verts: Sequence[VertexId], bounds: Bounds):
+    """The (a, p) pairs :func:`find_periodic_element` tries, in its order."""
+    k = graph.k
+    periods = _period_candidates(k, bounds.period_radius)
     for v in verts:
         a = TElement.gen(v, dg.zero(k))
         for p in periods:
-            budget -= 1
-            if budget < 0:
-                return None
-            if t_equal(graph, a, act(p, a), bounds=scan).is_yes:
-                return a, p
-
+            yield a, p
     if bounds.support >= 2:
         offs = sorted(dg.box(dg.zero(k), (2 * bounds.offset_radius,) * k),
                       key=lambda m: (dg.norm1(m), m))
@@ -531,12 +534,7 @@ def find_periodic_element(graph,
                     for c2 in range(1, bounds.coeff + 1):
                         a = TElement.gen(v, dg.zero(k), c1) + TElement.gen(w, n2, c2)
                         for p in periods:
-                            budget -= 1
-                            if budget < 0:
-                                return None
-                            if t_equal(graph, a, act(p, a), bounds=scan).is_yes:
-                                return a, p
-    return None
+                            yield a, p
 
 
 @shared_fact

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .intlinalg import lattice_member
-from .kgraph import GraphLike
+from .kgraph import GraphLike, bfs
 from .tri import Certificate, Tri, no, register_replayer, unknown, yes
 
 Gen = Hashable
@@ -335,22 +335,12 @@ def _replay_component(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     closed = d["left"] if d["closed_side"] == "left" else d["right"]
     other = d["right"] if d["closed_side"] == "left" else d["left"]
-    size = d["component_size"]
-    seen = {closed}
-    frontier = [closed]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for succ, _ in _neighbors(graph, cur):
-                if succ == other:
-                    return False
-                if succ not in seen:
-                    seen.add(succ)
-                    nxt.append(succ)
-                    if len(seen) > size + 1:
-                        return False
-        frontier = nxt
-    return other not in seen
+    walked = 0
+    for cur in bfs([closed], lambda c: (s for s, _ in _neighbors(graph, c)), None):
+        walked += 1
+        if cur == other or walked > d["component_size"] + 1:
+            return False
+    return True
 
 
 @register_replayer("integer_invariant")

@@ -87,7 +87,11 @@ def replay(graph, tri: Tri) -> bool:
 
     Returns True when the certificate checks out.  Unknown verdicts have
     nothing to replay and always pass.  A yes/no verdict without a
-    certificate, or with an unregistered kind, fails replay.
+    certificate, or with an unregistered kind, fails replay, and so does one
+    whose data the graph cannot take (a level below an offset, a degree of
+    the wrong length or sign): the procedures that replayers call raise
+    ValueError on such input, and a tampered certificate is a rejection,
+    not a crash.
     """
     if tri.is_unknown:
         return True
@@ -96,4 +100,7 @@ def replay(graph, tri: Tri) -> bool:
     fn = _REPLAYERS.get(tri.certificate.kind)
     if fn is None:
         return False
-    return bool(fn(graph, tri))
+    try:
+        return bool(fn(graph, tri))
+    except ValueError:
+        return False

@@ -133,10 +133,18 @@ def test_disjoint_union_not_cofinal():
     assert replay(g, tri)
 
 
-def test_lattice_limit_gives_unknown():
+def test_cofinality_is_decided_past_the_lattice_limit():
+    # the one-vertex closures decide cofinality at any size; only listing
+    # the lattice, and strong aperiodicity, stop at LATTICE_LIMIT
     g = families.finite_grid(2, (4, 4))  # 25 vertices
-    for tri in (is_cofinal(g), is_strongly_aperiodic(g, DEFAULT_BOUNDS)):
-        assert tri.is_unknown and "20-vertex lattice limit" in tri.note
+    cofinal = is_cofinal(g)
+    assert cofinal.is_yes and cofinal.certificate.kind == "trivial_lattice"
+    assert replay(g, cofinal)
+    quick = replace(DEFAULT_BOUNDS, period_radius=1, support=1, rewrite=2, node_cap=50)
+    r = kp_report(g, quick)
+    assert r.cofinal.is_yes and r.lattice is None
+    strong = is_strongly_aperiodic(g, DEFAULT_BOUNDS)
+    assert strong.is_unknown and "20-vertex lattice limit" in strong.note
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +193,21 @@ def test_report_enumerates_lattice_once(monkeypatch, cycle4):
     r = kp_report(cycle4, DEFAULT_BOUNDS)
     assert enumerations == [cycle4]
     assert r.lattice == [(), tuple(sorted(cycle4.vertices))]
+
+
+def test_report_and_replays_build_the_semigroup_once(monkeypatch, cycle4, looptail):
+    built = []
+    real = lattice.BooleanReach.__init__
+
+    def counted(self, graph):
+        built.append(graph)
+        real(self, graph)
+    monkeypatch.setattr(lattice.BooleanReach, "__init__", counted)
+    for g in (cycle4, looptail):
+        r = kp_report(g, DEFAULT_BOUNDS)
+        assert all(replay(g, tri) for tri in r.verdicts().values())
+        # quotient graphs are graphs of their own, with their own semigroup
+        assert sum(b is g for b in built) == 1, g.name
 
 
 def test_lattice_and_kernel_certificates_replay_apart(cycle4, looptail,

@@ -1,6 +1,7 @@
 import random
 
 from kgraphs import families
+from kgraphs.classify import is_cofinal
 from kgraphs.lattice import (BooleanReach, all_hs_subsets, hereditary_closure,
                              ideal_membership, ideal_of_vertex_set,
                              is_hereditary, is_prime_ideal, is_saturated,
@@ -13,11 +14,10 @@ from kgraphs.tri import replay
 def brute_hs_subsets(graph):
     """Oracle: filter all 2^|V| vertex subsets, in the library's order."""
     verts = list(graph.vertices)
-    reach = BooleanReach(graph)
     out = []
     for mask in range(1 << len(verts)):
         h = frozenset(v for j, v in enumerate(verts) if mask >> j & 1)
-        if is_hereditary(graph, h) and is_saturated(graph, h, reach):
+        if is_hereditary(graph, h) and is_saturated(graph, h):
             out.append(h)
     return sorted(out, key=lambda h: (len(h), sorted(map(repr, h))))
 
@@ -48,6 +48,21 @@ def test_lattice_matches_bruteforce(skeleton_pullbacks):
         assert all_hs_subsets(g) == brute_hs_subsets(g), g.name
         checked += 1
     assert checked >= 50
+
+
+def test_cofinality_matches_bruteforce(skeleton_pullbacks):
+    graphs = [f() for f in families.FAMILIES.values()]
+    graphs += [families.random_2graph(seed) for seed in range(40)]
+    graphs += skeleton_pullbacks
+    for g in graphs:
+        if g.is_lazy:
+            continue
+        proper = [h for h in brute_hs_subsets(g) if h and h != frozenset(g.vertices)]
+        tri = is_cofinal(g)
+        assert tri.is_yes == (not proper), g.name
+        if proper:
+            assert tri.certificate.kind == "proper_hs"
+            assert tri.certificate.data["h"] == tuple(sorted(proper[0], key=repr))
 
 
 def test_trivial_lattices(loop_pair_tail, one_vertex_3x2, cycle4):
