@@ -15,8 +15,7 @@ from .monoid import (Bounds, DEFAULT_BOUNDS, MElement, TElement, act, acts_freel
                      is_atom, is_atomic, m_congruent, push_to_level, refine,
                      t_equal, t_equal_rewrite, t_leq)
 from .lattice import (all_hs_subsets, hereditary_closure, ideal_membership,
-                      ideal_of_vertex_set, is_prime_ideal,
-                      saturated_hereditary_closure, vertices_of_ideal)
+                      is_prime_ideal, saturated_hereditary_closure)
 from .classify import (ClassificationReport, count_line_point_classes,
                        is_aperiodic, is_cofinal, is_semisimple,
                        is_strongly_aperiodic, kp_report, line_points,
@@ -38,8 +37,7 @@ __all__ = [
     "is_atom", "is_atomic", "m_congruent", "push_to_level", "refine",
     "t_equal", "t_equal_rewrite", "t_leq",
     "all_hs_subsets", "hereditary_closure", "ideal_membership",
-    "ideal_of_vertex_set", "is_prime_ideal", "saturated_hereditary_closure",
-    "vertices_of_ideal",
+    "is_prime_ideal", "saturated_hereditary_closure",
     "ClassificationReport", "count_line_point_classes", "is_aperiodic",
     "is_cofinal", "is_semisimple", "is_strongly_aperiodic", "kp_report",
     "line_points", "socle_essential", "socle_vertices",

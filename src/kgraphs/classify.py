@@ -20,10 +20,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from .kgraph import (VertexId, bfs, is_leaf, near_targets, quotient_graph,
                      shared_fact, single_sources, validate)
 from .lattice import (LATTICE_LIMIT, SemigroupCapExceeded, all_hs_subsets,
-                      proper_vertex_closures, saturated_hereditary_closure)
+                      is_hereditary, is_saturated, proper_vertex_closures,
+                      saturated_hereditary_closure)
 from .monoid import (Bounds, DEFAULT_BOUNDS, TElement, act, acts_freely, atoms,
                      is_atomic, leaf_orbit_collision, t_equal)
-from .tri import Certificate, Tri, no, register_replayer, unknown, yes
+from .tri import Certificate, Tri, no, register_replayer, replay, unknown, yes
 
 
 def is_cofinal(graph) -> Tri:
@@ -306,8 +307,6 @@ def _replay_trivial_lattice(graph, tri: Tri) -> bool:
 
 @register_replayer("proper_hs")
 def _replay_proper_hs(graph, tri: Tri) -> bool:
-    from .lattice import is_hereditary, is_saturated
-
     h = set(tri.certificate.data["h"])
     return bool(h) and h != set(graph.vertices) \
         and is_hereditary(graph, h) and is_saturated(graph, h)
@@ -315,8 +314,6 @@ def _replay_proper_hs(graph, tri: Tri) -> bool:
 
 @register_replayer("free_action")
 def _replay_free_action(graph, tri: Tri) -> bool:
-    from .tri import replay
-
     if not graph.is_lazy and graph.has_sources():
         return False
     inner = tri.certificate.data["inner"]
@@ -339,8 +336,6 @@ def _replay_periodic_atom(graph, tri: Tri) -> bool:
 
 @register_replayer("quotient_periodic")
 def _replay_quotient_periodic(graph, tri: Tri) -> bool:
-    from .tri import replay
-
     d = tri.certificate.data
     q = quotient_graph(graph, set(d["h"]))
     return d["inner"].is_no and replay(q, d["inner"])
@@ -348,8 +343,6 @@ def _replay_quotient_periodic(graph, tri: Tri) -> bool:
 
 @register_replayer("quotients_aperiodic")
 def _replay_quotients_aperiodic(graph, tri: Tri) -> bool:
-    from .tri import replay
-
     for h, verdict in tri.certificate.data["parts"]:
         q = quotient_graph(graph, set(h))
         if not (verdict.is_yes and replay(q, verdict)):
@@ -359,15 +352,11 @@ def _replay_quotients_aperiodic(graph, tri: Tri) -> bool:
 
 @register_replayer("conjunction")
 def _replay_conjunction(graph, tri: Tri) -> bool:
-    from .tri import replay
-
     return all(p.is_yes and replay(graph, p) for p in tri.certificate.data["parts"])
 
 
 @register_replayer("conjunction_fail")
 def _replay_conjunction_fail(graph, tri: Tri) -> bool:
-    from .tri import replay
-
     part = tri.certificate.data["part"]
     return part.is_no and replay(graph, part)
 

@@ -8,7 +8,7 @@ is nonzero, which for a coordinate matrix means a path from vertex i to
 vertex j.  The module owns:
 
 - products: ``identity``, ``vecmat``, ``matmul``, and for boolean supports
-  ``row_support``, ``support`` and ``bool_vecmat``;
+  ``support`` and ``bool_vecmat``;
 - ``rank`` over Q by fraction-free (Bareiss) elimination and a primitive
   integer ``kernel_vector``;
 - prime-exponent vectors: trial-division ``factorize``, ``exponent_matrix``
@@ -91,13 +91,9 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def row_support(x: Sequence[int]) -> int:
-    """The bitmask of the nonzero entries of x."""
-    return sum(1 << j for j, v in enumerate(x) if v)
-
-
 def support(a: Matrix) -> Tuple[int, ...]:
-    return tuple(map(row_support, a))
+    """Row i is the bitmask of the nonzero entries of row i of a."""
+    return tuple(sum(1 << j for j, v in enumerate(row) if v) for row in a)
 
 
 def bool_vecmat(mask: int, supp: Sequence[int]) -> int:

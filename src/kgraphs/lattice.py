@@ -15,22 +15,29 @@ size; the whole lattice is listed as the closed sets of the closure, each
 closed C yielding the closures of C plus one vertex, so the work grows with
 the lattice, not with 2^|V| (Ganter & Wille, *Formal Concept Analysis*, 1999).
 
-Hereditary saturated sets correspond to order ideals of the graded monoid:
-H generates the ideal of elements that push inside H, and an ideal is
-recovered from the vertices whose generators it contains.
+On a finite graph the order ideal generated by the shifts of a vertex set h
+holds exactly the elements whose support lies in U, the unit-degree closure
+of h: the smallest hereditary set containing h that takes in every vertex u
+with, for some color i, color-i edges whose sources all lie in U.  The
+defining relations are the unit expansions v(n) = sum over e in vL^{e_i} of
+s(e)(n + e_i); read in either direction, each one keeps an element supported
+in a hereditary unit-saturated set supported there.  So being supported in U
+does not depend on how an element is written, those elements form an order
+ideal, and every generator of U lies in each ideal containing h.  This holds
+with sources too.  When h is hereditary saturated, U = h: saturation over
+all degrees includes the unit degrees, so h is one of the sets whose
+intersection is U.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import degrees as dg
 from . import intlinalg as il
 from .kgraph import GraphLike, VertexId, bfs, shared_fact, walk
-from .monoid import TElement, common_level, push_to_level
-from .tri import Certificate, Tri, no, register_replayer, yes
+from .tri import Certificate, Tri, no, register_replayer, unknown, yes
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +63,7 @@ class BooleanReach:
     """
 
     def __init__(self, graph):
-        gens = [il.support(graph.color_matrix(i)) for i in range(graph.k)]
+        gens = _color_supports(graph)
 
         def products(s):
             return (tuple(il.bool_vecmat(row, g) for row in s) for g in gens)
@@ -70,6 +77,11 @@ class BooleanReach:
         """Is there a degree n != 0 at which vertex ``row`` has paths and
         the sources of all of them lie in the vertex bitmask ``hmask``?"""
         return any(s[row] and not s[row] & ~hmask for s in self.states)
+
+
+def _color_supports(graph) -> List[Tuple[int, ...]]:
+    """The boolean supports of the color matrices."""
+    return [il.support(graph.color_matrix(i)) for i in range(graph.k)]
 
 
 def semigroup(graph) -> BooleanReach:
@@ -90,11 +102,6 @@ def _sorted_sets(graph, masks: Iterable[int]) -> List[FrozenSet[VertexId]]:
     """The vertex sets of ``masks``, smallest first, then by their reprs."""
     sets = (frozenset(v for j, v in enumerate(graph.vertices) if m >> j & 1) for m in masks)
     return sorted(sets, key=lambda h: (len(h), sorted(map(repr, h))))
-
-
-def _expands(mask: int, supp: Sequence[int]) -> bool:
-    """Does every vertex in ``mask`` have an edge of the color of ``supp``?"""
-    return all(r for j, r in enumerate(supp) if mask >> j & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -149,18 +156,19 @@ def saturated_hereditary_closure(graph: GraphLike, xs: Iterable[VertexId],
             if not added:
                 return x
 
-    closed = mask_closure(graph)(_mask(graph, xs))
+    closed = mask_closure(graph, semigroup(graph).saturates)(_mask(graph, xs))
     return {v for j, v in enumerate(graph.vertices) if closed >> j & 1}
 
 
-def mask_closure(graph) -> Callable[[int], int]:
-    """The saturated hereditary closure of a finite graph on vertex bitmasks.
+def mask_closure(graph, saturates: Callable[[int, int], bool]) -> Callable[[int], int]:
+    """The closure of vertex bitmasks of a finite graph under heredity and
+    ``saturates``: ``semigroup(graph).saturates`` gives the hereditary
+    saturated closure, :func:`unit_saturates` the unit-degree closure.
 
     Rows of ``graph.reach_rows()`` are hereditary, so OR-ing the rows of a
     mask's bits closes it hereditarily; every vertex that then saturates
     adds its own row, until nothing changes.
     """
-    reach = semigroup(graph)
     down = graph.reach_rows()
 
     def close(x: int) -> int:
@@ -168,7 +176,7 @@ def mask_closure(graph) -> Callable[[int], int]:
         while True:
             before = x
             for u, row in enumerate(down):
-                if not x >> u & 1 and reach.saturates(u, x):
+                if not x >> u & 1 and saturates(u, x):
                     x |= row
             if x == before:
                 return x
@@ -176,11 +184,15 @@ def mask_closure(graph) -> Callable[[int], int]:
 
 
 def is_hereditary(graph, h: Iterable[VertexId]) -> bool:
+    if graph.is_lazy:
+        raise ValueError("is_hereditary needs a finite graph")
     hs = set(h)
     return all(e.source in hs for e in graph.edges if e.range in hs)
 
 
 def is_saturated(graph, h: Iterable[VertexId]) -> bool:
+    if graph.is_lazy:
+        raise ValueError("is_saturated needs a finite graph")
     hmask, reach = _mask(graph, h), semigroup(graph)
     return not any(reach.saturates(j, hmask)
                    for j in range(len(graph.vertices)) if not hmask >> j & 1)
@@ -190,7 +202,7 @@ def proper_vertex_closures(graph) -> List[FrozenSet[VertexId]]:
     """The one-vertex closures other than V, smallest first (finite graphs):
     the lattice is trivial exactly when there are none, and the first is its
     smallest proper member."""
-    close, n = mask_closure(graph), len(graph.vertices)
+    close, n = mask_closure(graph, semigroup(graph).saturates), len(graph.vertices)
     return _sorted_sets(graph, {close(1 << j) for j in range(n)} - {(1 << n) - 1})
 
 
@@ -204,7 +216,7 @@ def all_hs_subsets(graph) -> List[FrozenSet[VertexId]]:
         raise ValueError("the full lattice needs a finite graph")
     if len(graph.vertices) > LATTICE_LIMIT:
         raise ValueError(f"lattice enumeration is limited to {LATTICE_LIMIT} vertices")
-    close, n = mask_closure(graph), len(graph.vertices)
+    close, n = mask_closure(graph, semigroup(graph).saturates), len(graph.vertices)
 
     def above(c):
         return (close(c | 1 << j) for j in range(n) if not c >> j & 1)
@@ -215,61 +227,49 @@ def all_hs_subsets(graph) -> List[FrozenSet[VertexId]]:
 # order ideals
 
 
-@dataclass(frozen=True)
-class OrderIdealDesc:
-    """The order ideal generated by shifts of the vertices in ``h``."""
-
-    h: FrozenSet[VertexId]
-
-
-def ideal_of_vertex_set(graph, h: Iterable[VertexId]) -> OrderIdealDesc:
-    return OrderIdealDesc(frozenset(h))
+def unit_saturates(graph) -> Callable[[int, int], bool]:
+    """Saturation at unit degrees: does vertex ``row`` have, in some color,
+    edges whose sources all lie in the vertex bitmask ``x``?"""
+    supports = _color_supports(graph)
+    return lambda row, x: any(s[row] and not s[row] & ~x for s in supports)
 
 
-def ideal_membership(graph, a: TElement, h: Iterable[VertexId]) -> Tri:
-    """Does a lie in the order ideal generated by the hereditary saturated h?
+def _unit_closure(graph, h: Iterable[VertexId]) -> int:
+    """The bitmask of the unit-degree closure of h (finite graphs)."""
+    return mask_closure(graph, unit_saturates(graph))(_mask(graph, h))
 
-    a belongs exactly when some push of its level vector is supported inside
-    h; the finitely many boolean support states make the search exhaustive.
+
+def _outside(graph, a, closed: int) -> List[VertexId]:
+    """The vertices of a's support outside the bitmask ``closed``, in the
+    order of a's generators; ValueError for a vertex not in the graph."""
+    idx, out = graph.vertex_index, []
+    for (v, _), _ in a.items:
+        if v not in idx:
+            raise ValueError(f"{v!r} is not a vertex of the graph")
+        if not closed >> idx[v] & 1 and v not in out:
+            out.append(v)
+    return out
+
+
+def ideal_membership(graph, a, h: Iterable[VertexId]) -> Tri:
+    """Does the element a lie in the order ideal generated by the shifts of
+    the vertices in h?
+
+    Exactly when its support lies in the unit-degree closure U of h (see the
+    module docstring).  A "no" records U and a support vertex outside it;
+    lazy graphs get ``unknown``.
     """
-    hs = set(h)
-    hkey = tuple(sorted(hs, key=repr))
-    if a.is_zero():
-        return yes(Certificate("ideal_member", {"a": a, "h": hkey,
-                                                "level": None, "path": []}))
-    t = common_level(a, TElement.zero(), graph.k)
-    row = il.row_support(push_to_level(graph, a, t))
-    hmask = _mask(graph, hs)
-    gens = [il.support(graph.color_matrix(i)) for i in range(graph.k)]
-    trail: Dict[int, List[int]] = {row: []}
-
-    def expand(state):
-        for i, gen in enumerate(gens):
-            # the expansion relation only applies where out-edges exist
-            if _expands(state, gen):
-                new = il.bool_vecmat(state, gen)
-                if new not in trail:
-                    trail[new] = trail[state] + [i]
-                yield new
-    for state in bfs([row], expand, None):
-        if not state & ~hmask:
-            return yes(Certificate("ideal_member",
-                                   {"a": a, "h": hkey, "level": t,
-                                    "path": trail[state]}))
-    return no(Certificate("ideal_nonmember", {"a": a, "h": hkey}))
-
-
-def vertices_of_ideal(graph, ideal: OrderIdealDesc) -> FrozenSet[VertexId]:
-    """Recover the hereditary saturated set from the ideal it generates."""
-    return frozenset(v for v in graph.vertices
-                     if ideal_membership(graph, TElement.gen(v, dg.zero(graph.k)),
-                                         ideal.h).is_yes)
-
-
-def rho_eta_roundtrip(graph, h: Iterable[VertexId]) -> bool:
-    """Check that generating an ideal and reading back its vertices is lossless."""
-    hs = frozenset(h)
-    return vertices_of_ideal(graph, ideal_of_vertex_set(graph, hs)) == hs
+    if graph.is_lazy:
+        return unknown("ideal membership needs a finite graph")
+    hkey = tuple(sorted(set(h), key=repr))
+    closed = _unit_closure(graph, hkey)
+    outside = _outside(graph, a, closed)
+    if not outside:
+        return yes(Certificate("ideal_member", {"a": a, "h": hkey}))
+    u = [v for j, v in enumerate(graph.vertices) if closed >> j & 1]
+    return no(Certificate("ideal_nonmember",
+                          {"a": a, "h": hkey, "closure": tuple(sorted(u, key=repr)),
+                           "witness": outside[0]}))
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +282,8 @@ def is_prime_ideal(graph, h: Iterable[VertexId]) -> Tri:
     Equivalent to the complement being a maximal tail: any two outside
     vertices must reach a common outside vertex.
     """
+    if graph.is_lazy:
+        return unknown("primality needs a finite graph")
     hs = set(h)
     hkey = tuple(sorted(hs, key=repr))
     comp = [v for v in graph.vertices if v not in hs]
@@ -303,27 +305,30 @@ def is_prime_ideal(graph, h: Iterable[VertexId]) -> Tri:
 @register_replayer("ideal_member")
 def _replay_ideal_member(graph, tri: Tri) -> bool:
     d = tri.certificate.data
-    a = d["a"]
-    if a.is_zero():
-        return True
-    row = il.row_support(push_to_level(graph, a, d["level"]))
-    for i in d["path"]:
-        gen = il.support(graph.color_matrix(i))
-        if not _expands(row, gen):
-            return False
-        row = il.bool_vecmat(row, gen)
-    return not row & ~_mask(graph, d["h"])
+    return not graph.is_lazy and not _outside(graph, d["a"], _unit_closure(graph, d["h"]))
 
 
 @register_replayer("ideal_nonmember")
 def _replay_ideal_nonmember(graph, tri: Tri) -> bool:
+    """The recorded U contains h and is hereditary and unit-saturated, so it
+    contains the unit-degree closure of h; the witness, a support vertex
+    outside U, then lies outside the ideal.  Nothing is closed or searched."""
     d = tri.certificate.data
-    return ideal_membership(graph, d["a"], set(d["h"])).is_no
+    if graph.is_lazy:
+        return False
+    u = set(d["closure"])
+    umask, sat = _mask(graph, u), unit_saturates(graph)
+    return (not _mask(graph, d["h"]) & ~umask and is_hereditary(graph, u)
+            and not any(sat(j, umask) for j in range(len(graph.vertices))
+                        if not umask >> j & 1)
+            and d["witness"] in _outside(graph, d["a"], umask))
 
 
 @register_replayer("not_prime")
 def _replay_not_prime(graph, tri: Tri) -> bool:
     d = tri.certificate.data
+    if graph.is_lazy:
+        return False
     hs = set(d["h"])
     comp = [u for u in graph.vertices if u not in hs]
     if d.get("reason") == "improper":

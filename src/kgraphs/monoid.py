@@ -32,7 +32,8 @@ from . import intlinalg as il
 from . import rewrite as rw
 from .kgraph import (LAZY_LEAF_DEPTH, GraphLike, VertexId, is_leaf, leaves,
                      shared_fact, skew_product)
-from .tri import Certificate, Tri, no, register_replayer, unknown, yes
+from .lattice import SemigroupCapExceeded, saturated_hereditary_closure
+from .tri import Certificate, Tri, no, register_replayer, replay, unknown, yes
 
 Vec = Tuple[int, ...]
 
@@ -345,8 +346,6 @@ def is_atomic(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     saturated closure of the leaf set is the whole vertex set.  Lazy graphs
     get bounded verdicts from the sampled window.
     """
-    from .lattice import SemigroupCapExceeded, saturated_hereditary_closure
-
     if graph.is_lazy:
         sampled = graph.sample_vertices(bounds.sample_depth)
         leaf_set = atoms(graph, bounds)
@@ -685,8 +684,6 @@ def _replay_graded_order(graph, tri: Tri) -> bool:
 
 @register_replayer("skew_rewrite")
 def _replay_skew(graph, tri: Tri) -> bool:
-    from .tri import replay
-
     inner = tri.certificate.data["inner"]
     return replay(skew_product(graph), inner)
 
@@ -725,8 +722,6 @@ def _replay_periodic_pair(graph, tri: Tri) -> bool:
 
 @register_replayer("atomic_closure")
 def _replay_atomic_closure(graph, tri: Tri) -> bool:
-    from .lattice import saturated_hereditary_closure
-
     claimed = tri.certificate.data["leaves"]
     if len(leaves(graph, claimed)) != len(claimed):
         return False
@@ -736,8 +731,6 @@ def _replay_atomic_closure(graph, tri: Tri) -> bool:
 
 @register_replayer("not_atomic")
 def _replay_not_atomic(graph, tri: Tri) -> bool:
-    from .lattice import saturated_hereditary_closure
-
     d = tri.certificate.data
     all_leaves = atoms(graph)
     closure = saturated_hereditary_closure(graph, all_leaves)

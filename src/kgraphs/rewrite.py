@@ -110,6 +110,19 @@ def step(graph: GraphLike, elem: FreeElement, gen: Gen, color: int) -> Optional[
     return rest + exp
 
 
+def step_back(graph: GraphLike, elem: FreeElement, gen: Gen,
+              color: int) -> Optional[FreeElement]:
+    """Undo one step: replace one occurrence of the color-``color`` expansion
+    of ``gen`` by ``gen``, if enabled."""
+    exp = expansion(graph, gen, color)
+    if exp is None:
+        return None
+    rest = elem.subtract(exp)
+    if rest is None:
+        return None
+    return rest + FreeElement.single(gen)
+
+
 def successors(graph: GraphLike, elem: FreeElement) -> List[Tuple[FreeElement, StepLabel]]:
     out = []
     for gen, _ in elem.items:
@@ -137,12 +150,9 @@ def predecessors(graph: GraphLike, elem: FreeElement) -> List[Tuple[FreeElement,
     """Elements that rewrite to ``elem`` in one step."""
     out = []
     for gen, color in _predecessor_candidates(graph, elem):
-        exp = expansion(graph, gen, color)
-        if exp is None:
-            continue
-        rest = elem.subtract(exp)
-        if rest is not None:
-            out.append((rest + FreeElement.single(gen), (-1, gen, color)))
+        prev = step_back(graph, elem, gen, color)
+        if prev is not None:
+            out.append((prev, (-1, gen, color)))
     return out
 
 
@@ -195,7 +205,10 @@ def _neighbors(graph: GraphLike, elem: FreeElement):
     return successors(graph, elem) + predecessors(graph, elem)
 
 
-def _relation_vectors(graph) -> Tuple[List[List[int]], List[Gen]]:
+def _invariant_separates(graph, a: FreeElement, b: FreeElement) -> bool:
+    """Is a - b outside the integer lattice spanned by the relation vectors
+    (finite graphs)?  Each step changes the coefficient vector by a relation
+    vector, so then a and b are never congruent."""
     verts = list(graph.vertex_ids())
     idx = {v: i for i, v in enumerate(verts)}
     rels = []
@@ -209,7 +222,12 @@ def _relation_vectors(graph) -> Tuple[List[List[int]], List[Gen]]:
             for g, n in exp.items:
                 vec[idx[g]] += n
             rels.append(vec)
-    return rels, verts
+    diff = [0] * len(verts)
+    for g, n in a.items:
+        diff[idx[g]] += n
+    for g, n in b.items:
+        diff[idx[g]] -= n
+    return not lattice_member(rels, diff)
 
 
 def congruent(graph: GraphLike, a: FreeElement, b: FreeElement, bound: int = 16,
@@ -280,16 +298,8 @@ def congruent(graph: GraphLike, a: FreeElement, b: FreeElement, bound: int = 16,
                               {"left": a, "right": b,
                                "closed_side": "left" if closed_a else "right",
                                "component_size": len(parent_a if closed_a else parent_b)}))
-    if not graph.is_lazy:
-        rels, verts = _relation_vectors(graph)
-        idx = {v: i for i, v in enumerate(verts)}
-        diff = [0] * len(verts)
-        for g, n in a.items:
-            diff[idx[g]] += n
-        for g, n in b.items:
-            diff[idx[g]] -= n
-        if not lattice_member(rels, diff):
-            return no(Certificate("integer_invariant", {"left": a, "right": b}))
+    if not graph.is_lazy and _invariant_separates(graph, a, b):
+        return no(Certificate("integer_invariant", {"left": a, "right": b}))
     return unknown(f"no connection within {bound} rounds")
 
 
@@ -298,18 +308,9 @@ def apply_chain(graph: GraphLike, start: FreeElement,
     """Replay a signed step chain; None when a step does not apply."""
     cur = start
     for d, gen, color in steps:
-        if d == +1:
-            cur = step(graph, cur, gen, color)
-            if cur is None:
-                return None
-        else:
-            exp = expansion(graph, gen, color)
-            if exp is None:
-                return None
-            rest = cur.subtract(exp)
-            if rest is None:
-                return None
-            cur = rest + FreeElement.single(gen)
+        cur = (step if d == +1 else step_back)(graph, cur, gen, color)
+        if cur is None:
+            return None
     return cur
 
 
@@ -346,11 +347,4 @@ def _replay_component(graph, tri: Tri) -> bool:
 @register_replayer("integer_invariant")
 def _replay_invariant(graph, tri: Tri) -> bool:
     d = tri.certificate.data
-    rels, verts = _relation_vectors(graph)
-    idx = {v: i for i, v in enumerate(verts)}
-    diff = [0] * len(verts)
-    for g, n in d["left"].items:
-        diff[idx[g]] += n
-    for g, n in d["right"].items:
-        diff[idx[g]] -= n
-    return not lattice_member(rels, diff)
+    return _invariant_separates(graph, d["left"], d["right"])

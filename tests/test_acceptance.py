@@ -13,7 +13,7 @@ from kgraphs.classify import (count_line_point_classes, is_aperiodic,
                               is_cofinal, is_semisimple, kp_report,
                               line_points)
 from kgraphs.kgraph import is_leaf, validate
-from kgraphs.lattice import (all_hs_subsets, rho_eta_roundtrip,
+from kgraphs.lattice import (all_hs_subsets, ideal_membership,
                              saturated_hereditary_closure)
 from kgraphs.monoid import (Bounds, DEFAULT_BOUNDS, TElement, act,
                             acts_freely, find_periodic_element, is_atomic,
@@ -235,9 +235,12 @@ def test_criterion_09_random_property_suites():
                 brute &= h
         assert saturated_hereditary_closure(g, xs) == brute, seed
 
-        # (e) ideal round-trips for every enumerated subset
+        # (e) ideal round-trips for every enumerated subset: a vertex's
+        # generator lies in the ideal of h exactly when the vertex is in h
         for h in hs:
-            assert rho_eta_roundtrip(g, h), (seed, h)
+            for v in g.vertices:
+                tri = ideal_membership(g, TElement.gen(v, (0, 0)), h)
+                assert tri.is_yes == (v in h), (seed, h, v)
 
         # (f) factorization round-trip and two-color enumeration agreement
         from kgraphs.paths import compose, enumerate_paths, factor

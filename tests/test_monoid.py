@@ -109,8 +109,7 @@ def test_forged_kernel_stable_no_is_rejected(cycle4):
     assert not replay(cycle4, forged)
 
 
-LEVEL_KINDS = ("kernel_stable", "equalizer", "level_equal", "order_equalizer",
-               "ideal_member")
+LEVEL_KINDS = ("kernel_stable", "equalizer", "level_equal", "order_equalizer")
 
 
 @pytest.mark.parametrize("kind", LEVEL_KINDS)
@@ -120,8 +119,7 @@ LEVEL_KINDS = ("kernel_stable", "equalizer", "level_equal", "order_equalizer",
 def test_tampered_level_certificates_are_rejected(cycle4, kind, tamper):
     # a level below an offset of a, a level of the wrong length and a
     # negative exponent are data the graph cannot take: replay says False
-    data = {"a": gen("u", (4, 0)), "b": gen("z", (0, 0)), "h": ("z",),
-            "level": (4, 0), "m": (4, 4), "path": []}
+    data = {"a": gen("u", (4, 0)), "b": gen("z", (0, 0)), "level": (4, 0), "m": (4, 4)}
     forged = Certificate(kind, {**data, **tamper})
     for verdict in (yes(forged), no(forged)):
         assert replay(cycle4, verdict) is False
