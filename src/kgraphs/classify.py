@@ -48,25 +48,26 @@ def is_cofinal(graph) -> Tri:
 def line_points(graph, bounds: Bounds = DEFAULT_BOUNDS) -> List[VertexId]:
     """Leaves whose orbit never revisits a vertex.
 
-    On a finite graph without sources the orbit of any leaf revisits by
-    pigeonhole, so the answer is always empty there.  On lazy graphs the
-    revisit check is bounded by the offset box (bounded inclusion).
+    On a finite graph the orbit of any leaf revisits by pigeonhole, so there
+    are none and nothing is walked.  On lazy graphs the revisit check is
+    bounded by the offset box (bounded inclusion).
     """
-    radius = bounds.offset_radius if graph.is_lazy else len(graph.vertices) + 1
+    if not graph.is_lazy:
+        return []
     return [v for v in atoms(graph, bounds)
-            if leaf_orbit_collision(graph, v, radius) is None]
+            if leaf_orbit_collision(graph, v, bounds.offset_radius) is None]
 
 
 def count_line_point_classes(graph, bounds: Bounds = DEFAULT_BOUNDS) -> int:
     """Line points up to orbit equivalence (orbits sharing a vertex).
 
-    Each orbit is the ball of ``radius`` edges around a line point; every
-    vertex in it must be a leaf vertex (one out-edge per color), else
-    ValueError.  The orbits overlap, so each vertex's out-edges are read
-    once for all of them.
+    Each orbit is the ball of ``2 * bounds.sample_depth`` edges around a
+    line point; every vertex in it must be a leaf vertex (one out-edge per
+    color), else ValueError.  The orbits overlap, so each vertex's out-edges
+    are read once for all of them.
     """
     pts = line_points(graph, bounds)
-    radius = bounds.sample_depth * 2 if graph.is_lazy else len(graph.vertices) + 1
+    radius = bounds.sample_depth * 2
     parent = list(range(len(pts)))
 
     def find(i):
@@ -100,34 +101,32 @@ def socle_vertices(graph, bounds: Bounds = DEFAULT_BOUNDS) -> List[VertexId]:
 def socle_essential(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     """Does every vertex reach a line point along some path?
 
-    On a lazy graph: does every sampled vertex reach a line point of the
-    window within ``bounds.sample_depth`` edges (a bounded verdict, whose
-    certificate records the bounds it was reached at).
+    Never on a finite graph, which has no line points (see
+    :func:`line_points`).  On a lazy graph: does every sampled vertex reach
+    a line point of the window within ``bounds.sample_depth`` edges (a
+    bounded verdict, whose certificate records the bounds it was reached at).
     """
-    pts = set(line_points(graph, bounds))
-    verts = graph.sample_vertices(bounds.sample_depth) if graph.is_lazy \
-        else list(graph.vertices)
+    verts = graph.sample_vertices(bounds.sample_depth)
     if not verts:
         return unknown("no vertices to check")
+    if not graph.is_lazy:
+        return no(Certificate("socle_gap", {"witness": verts[0]}))
+    pts = set(line_points(graph, bounds))
     missing = verts
     if pts:
         def successors(w):
             if w in pts:
                 return None
             return [e.source for i in range(graph.k) for e in graph.out_edges(w, i)]
-        near = near_targets(verts, successors,
-                            bounds.sample_depth if graph.is_lazy else None)
+        near = near_targets(verts, successors, bounds.sample_depth)
         missing = [v for v in verts if v not in near]
-    if not missing:
-        data = {"bounded": graph.is_lazy}
-        if graph.is_lazy:
-            data.update(sample_depth=bounds.sample_depth, leaf_depth=bounds.leaf_depth,
-                        offset_radius=bounds.offset_radius)
-        return yes(Certificate("socle_essential", data),
-                   note="bounded verdict" if graph.is_lazy else "")
-    if graph.is_lazy:
+    if missing:
         return unknown(f"{len(missing)} sampled vertices reach no sampled line point")
-    return no(Certificate("socle_gap", {"witness": missing[0]}))
+    return yes(Certificate("socle_essential",
+                           {"bounded": True, "sample_depth": bounds.sample_depth,
+                            "leaf_depth": bounds.leaf_depth,
+                            "offset_radius": bounds.offset_radius}),
+               note="bounded verdict")
 
 
 def is_aperiodic(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
@@ -162,23 +161,27 @@ def is_aperiodic(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     return unknown("no decisive route within bounds")
 
 
+def _proper_hs_sets(graph) -> List[Tuple[VertexId, ...]]:
+    """The hereditary saturated sets other than V, each sorted, in the order
+    of ``all_hs_subsets``; ValueError on a lazy graph or past the limit."""
+    return [tuple(sorted(h, key=repr)) for h in all_hs_subsets(graph)
+            if h != frozenset(graph.vertices)]
+
+
 def is_strongly_aperiodic(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     """Is every quotient by a proper hereditary saturated set aperiodic?"""
     if graph.is_lazy or len(graph.vertices) > LATTICE_LIMIT:
         return unknown(f"strong aperiodicity needs a finite graph in the {LATTICE_LIMIT}-vertex lattice limit")
     try:
-        subsets = [h for h in all_hs_subsets(graph) if h != frozenset(graph.vertices)]
+        subsets = _proper_hs_sets(graph)
     except SemigroupCapExceeded as exc:
         return unknown(f"strong aperiodicity: {exc}")
     parts = []
     for h in subsets:
-        q = quotient_graph(graph, h)
-        verdict = is_aperiodic(q, bounds)
+        verdict = is_aperiodic(quotient_graph(graph, h), bounds)
         if verdict.is_no:
-            return no(Certificate("quotient_periodic",
-                                  {"h": tuple(sorted(h, key=repr)),
-                                   "inner": verdict}))
-        parts.append((tuple(sorted(h, key=repr)), verdict))
+            return no(Certificate("quotient_periodic", {"h": h, "inner": verdict}))
+        parts.append((h, verdict))
     if all(v.is_yes for _, v in parts):
         return yes(Certificate("quotients_aperiodic", {"parts": tuple(parts)}))
     return unknown("some quotient verdict is unknown")
@@ -337,13 +340,18 @@ def _replay_periodic_atom(graph, tri: Tri) -> bool:
 @register_replayer("quotient_periodic")
 def _replay_quotient_periodic(graph, tri: Tri) -> bool:
     d = tri.certificate.data
+    if tuple(d["h"]) not in _proper_hs_sets(graph):
+        return False
     q = quotient_graph(graph, set(d["h"]))
     return d["inner"].is_no and replay(q, d["inner"])
 
 
 @register_replayer("quotients_aperiodic")
 def _replay_quotients_aperiodic(graph, tri: Tri) -> bool:
-    for h, verdict in tri.certificate.data["parts"]:
+    parts = tri.certificate.data["parts"]
+    if [h for h, _ in parts] != _proper_hs_sets(graph):
+        return False
+    for h, verdict in parts:
         q = quotient_graph(graph, set(h))
         if not (verdict.is_yes and replay(q, verdict)):
             return False
@@ -352,7 +360,8 @@ def _replay_quotients_aperiodic(graph, tri: Tri) -> bool:
 
 @register_replayer("conjunction")
 def _replay_conjunction(graph, tri: Tri) -> bool:
-    return all(p.is_yes and replay(graph, p) for p in tri.certificate.data["parts"])
+    parts = tri.certificate.data["parts"]
+    return len(parts) == 2 and all(p.is_yes and replay(graph, p) for p in parts)
 
 
 @register_replayer("conjunction_fail")
@@ -364,12 +373,10 @@ def _replay_conjunction_fail(graph, tri: Tri) -> bool:
 @register_replayer("socle_essential")
 def _replay_socle_essential(graph, tri: Tri) -> bool:
     d = tri.certificate.data
-    if d["bounded"] != graph.is_lazy:
+    if not graph.is_lazy:
         return False
-    bounds = DEFAULT_BOUNDS
-    if graph.is_lazy:
-        bounds = replace(bounds, sample_depth=d["sample_depth"],
-                         leaf_depth=d["leaf_depth"], offset_radius=d["offset_radius"])
+    bounds = replace(DEFAULT_BOUNDS, sample_depth=d["sample_depth"],
+                     leaf_depth=d["leaf_depth"], offset_radius=d["offset_radius"])
     return socle_essential(graph, bounds).is_yes
 
 

@@ -91,8 +91,7 @@ def _resolve_graph(path: str):
 def _vertex_ids(g, names: List[str], depth: int) -> List[Any]:
     """Vertex ids by printed name, looked up over the sampled window of a
     lazy graph; an unknown name is a parse error."""
-    known = {docio._fmt_id(v): v for v in
-             (g.sample_vertices(depth) if g.is_lazy else g.vertices)}
+    known = {docio._fmt_id(v): v for v in g.sample_vertices(depth)}
     for name in names:
         if name not in known:
             raise docio.ParseError(f"unknown vertex {name!r}")

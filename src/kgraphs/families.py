@@ -169,25 +169,6 @@ def finite_grid(k: int, shape: Sequence[int]) -> KGraph:
     return KGraph(k, verts, edges, squares, name=f"finite_grid{k}_{shape}")
 
 
-def disjoint_union(a: KGraph, b: KGraph, tags: Tuple[str, str] = ("L", "R")) -> KGraph:
-    """Side-by-side union of two finite graphs of the same rank."""
-    if a.k != b.k:
-        raise ValueError("ranks differ")
-    ta, tb = tags
-
-    def remap(g: KGraph, t: str):
-        vs = [(t, v) for v in g.vertices]
-        es = [Edge((t, e.id), e.color, (t, e.range), (t, e.source)) for e in g.edges]
-        sq = [Square(((t, s.lo[0]), (t, s.lo[1])), ((t, s.hi[0]), (t, s.hi[1])))
-              for s in g.squares]
-        return vs, es, sq
-
-    va, ea, sa = remap(a, ta)
-    vb, eb, sb = remap(b, tb)
-    return KGraph(a.k, va + vb, ea + eb, sa + sb,
-                  name=f"{a.name}+{b.name}")
-
-
 # ---------------------------------------------------------------------------
 # lazy families
 
@@ -213,8 +194,7 @@ def grid(k: int = 2) -> LazyKGraph:
 
     holder: dict = {}
     g = LazyKGraph(k, out_fn, _deterministic_swap(holder), roots=[dg.zero(k)],
-                   in_edges_fn=in_fn, level_fn=lambda v: v, deterministic=True,
-                   graded_injective=True, name=f"grid{k}")
+                   in_edges_fn=in_fn, level_fn=lambda v: v, name=f"grid{k}")
     holder["g"] = g
     return g
 
@@ -230,8 +210,7 @@ def delta(k: int = 2) -> LazyKGraph:
 
     holder: dict = {}
     g = LazyKGraph(k, out_fn, _deterministic_swap(holder), roots=[dg.zero(k)],
-                   in_edges_fn=in_fn, level_fn=lambda v: v, deterministic=True,
-                   graded_injective=True, name=f"delta{k}")
+                   in_edges_fn=in_fn, level_fn=lambda v: v, name=f"delta{k}")
     holder["g"] = g
     return g
 
@@ -286,7 +265,7 @@ def rank2_bratteli() -> LazyKGraph:
         raise KeyError((x.id, y.id))
 
     return LazyKGraph(2, out_fn, swap, roots=[(0, 0)], in_edges_fn=in_fn,
-                      deterministic=False, name="rank2_bratteli")
+                      name="rank2_bratteli")
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,11 @@ class KGraph:
         return any(not self.out_edges(v, i)
                    for v in self.vertices for i in range(self.k))
 
+    def sample_vertices(self, depth: int) -> List[VertexId]:
+        """Every vertex, whatever ``depth``: a finite graph is its own
+        window (see :meth:`LazyKGraph.sample_vertices`)."""
+        return list(self.vertices)
+
     def reach_rows(self) -> Tuple[int, ...]:
         """Row i is the bitmask of the vertices that vertex i reaches by a
         path of any degree, itself included: one :func:`walk` per vertex,
@@ -191,8 +196,11 @@ class LazyKGraph:
     of color-``color`` edges with range v.  Squares are resolved on demand via
     ``swap_fn(x, y)`` which plays the role of :meth:`KGraph.swap_pair`.
     ``roots`` seed bounded explorations; ``in_edges_fn`` (optional) enables
-    backward rewriting steps; ``level_fn`` (optional) exposes a grading used
-    by fast exact equality on deterministic families.
+    backward rewriting steps.  A ``level_fn`` marks a graded family, and the
+    caller guarantees its contract: every vertex has exactly one out-edge of
+    each color, ``level_fn`` is injective, and the source of each color-i
+    edge has the level of its range plus e_i.  Equality, order and freeness
+    are then decided exactly from levels (see ``monoid.graded_keys``).
     """
 
     is_lazy = True
@@ -202,8 +210,6 @@ class LazyKGraph:
                  roots: Sequence[VertexId],
                  in_edges_fn: Optional[Callable[[VertexId, int], List[Edge]]] = None,
                  level_fn: Optional[Callable[[VertexId], Tuple[int, ...]]] = None,
-                 deterministic: bool = False,
-                 graded_injective: bool = False,
                  name: str = ""):
         self.k = rank
         self._out_fn = out_edges_fn
@@ -211,11 +217,6 @@ class LazyKGraph:
         self.roots = tuple(roots)
         self._in_fn = in_edges_fn
         self.level_fn = level_fn
-        self.deterministic = deterministic
-        # every color map has out-degree one, the level map is injective, and
-        # each edge advances the level by its color's unit vector; this
-        # licenses the graded-key equality fast path
-        self.graded_injective = graded_injective
         self.name = name
 
     def out_edges(self, v: VertexId, color: int) -> List[Edge]:

@@ -31,7 +31,7 @@ from . import degrees as dg
 from . import intlinalg as il
 from . import rewrite as rw
 from .kgraph import (LAZY_LEAF_DEPTH, GraphLike, VertexId, is_leaf, leaves,
-                     shared_fact, skew_product)
+                     shared_fact, single_sources, skew_product)
 from .lattice import SemigroupCapExceeded, saturated_hereditary_closure
 from .tri import Certificate, Tri, no, register_replayer, replay, unknown, yes
 
@@ -194,17 +194,16 @@ def _leq(x: il.Vector, y: il.Vector) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# graded-key fast path for deterministic lazy families
+# graded-key fast path for graded lazy families
 
 
-def _graded_injective(graph) -> bool:
-    return bool(getattr(graph, "deterministic", False)) and \
-        getattr(graph, "level_fn", None) is not None and \
-        bool(getattr(graph, "graded_injective", False))
+def _graded(graph) -> bool:
+    """Is this a graded family (a lazy graph with a ``level_fn``)?"""
+    return getattr(graph, "level_fn", None) is not None
 
 
 def graded_keys(graph, a: TElement) -> Counter:
-    """Class keys n - level(v) for deterministic graded families.
+    """Class keys n - level(v) for graded families.
 
     On such families every generator is an atom, and two generators are
     equal exactly when their forward orbits meet, which the grading reduces
@@ -224,7 +223,7 @@ def graded_keys(graph, a: TElement) -> Counter:
 def t_equal(graph, a: TElement, b: TElement, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     """Decide equality of two elements of the graded monoid.
 
-    Deterministic graded lazy families compare key multisets, finite graphs
+    Graded lazy families compare key multisets, finite graphs
     without sources always get a verdict from the level engine, and every
     other graph goes to the bounded skew rewriting of :func:`t_equal_rewrite`.
     """
@@ -232,7 +231,7 @@ def t_equal(graph, a: TElement, b: TElement, bounds: Bounds = DEFAULT_BOUNDS) ->
         return yes(Certificate("level_equal", {"a": a, "b": b, "level": None}))
     if a.is_zero() != b.is_zero():
         return no(Certificate("zero_class_t", {"a": a, "b": b}))
-    if _graded_injective(graph):
+    if _graded(graph):
         ka, kb = graded_keys(graph, a), graded_keys(graph, b)
         cert = Certificate("graded_keys", {"a": a, "b": b})
         return yes(cert) if ka == kb else no(cert)
@@ -297,7 +296,7 @@ def t_leq(graph, a: TElement, b: TElement, bounds: Bounds = DEFAULT_BOUNDS) -> T
     """
     if a == b or a.is_zero():
         return yes(Certificate("order_equalizer", {"a": a, "b": b, "level": None, "m": None}))
-    if _graded_injective(graph):
+    if _graded(graph):
         ka, kb = graded_keys(graph, a), graded_keys(graph, b)
         cert = Certificate("graded_order", {"a": a, "b": b})
         return yes(cert) if all(kb[k] >= v for k, v in ka.items()) else no(cert)
@@ -334,8 +333,7 @@ def atoms(graph, bounds: Bounds = DEFAULT_BOUNDS) -> List[VertexId]:
 
     On a lazy graph, the leaves of the sampled window at ``bounds.leaf_depth``.
     """
-    verts = graph.sample_vertices(bounds.sample_depth) if graph.is_lazy else graph.vertices
-    return leaves(graph, verts, bounds.leaf_depth)
+    return leaves(graph, graph.sample_vertices(bounds.sample_depth), bounds.leaf_depth)
 
 
 @shared_fact
@@ -458,24 +456,22 @@ def leaf_orbit_collision(graph, v: VertexId,
     Walks the orbit over the box [0, radius]^k in 1-norm order (earlier
     colors first on ties) and reports the first revisit; on a finite graph a
     revisit always exists along a single color by pigeonhole once the radius
-    reaches the vertex count.
+    reaches the vertex count.  ValueError if the orbit meets a vertex that
+    branches.
     """
     k = graph.k
     first: Dict[VertexId, Vec] = {}
     cache: Dict[Vec, VertexId] = {dg.zero(k): v}
 
     def vertex_at(m: Vec) -> VertexId:
-        if m in cache:
-            return cache[m]
-        for i in range(k):
-            if m[i] > 0:
-                prev = vertex_at(dg.sub(m, dg.unit(k, i)))
-                out = graph.out_edges(prev, i)
-                if len(out) != 1:
-                    raise ValueError(f"{v!r} is not a leaf: branching at {prev!r}")
-                cache[m] = out[0].source
-                return cache[m]
-        raise AssertionError
+        if m not in cache:
+            i = next(i for i in range(k) if m[i] > 0)
+            prev = vertex_at(dg.sub(m, dg.unit(k, i)))
+            srcs = single_sources(graph, prev)
+            if srcs is None:
+                raise ValueError(f"{v!r} is not a leaf: branching at {prev!r}")
+            cache[m] = srcs[i]
+        return cache[m]
 
     for m in sorted(dg.box(dg.zero(k), (radius,) * k),
                     key=lambda m: (dg.norm1(m), tuple(-x for x in m))):
@@ -486,31 +482,28 @@ def leaf_orbit_collision(graph, v: VertexId,
     return None
 
 
+PERIODIC_BUDGET = 2000  # candidates find_periodic_element tries
+
+
 def find_periodic_element(graph,
                           bounds: Bounds = DEFAULT_BOUNDS) -> Optional[Tuple[TElement, Vec]]:
     """Search the bounded box for a nonzero a and p != 0 with act(p, a) = a.
 
     Candidates are ordered simple-first: single generators (for which
-    coefficients and offsets cancel away), then two-generator combinations.
-    Only certified-yes equality verdicts count; None means the bounded
-    search found nothing, not that nothing exists.
+    coefficients and offsets cancel away), then two-generator combinations,
+    over the vertex window at ``bounds.sample_depth``; at most
+    ``PERIODIC_BUDGET`` are tried.  Only certified-yes equality verdicts
+    count; None means the bounded search found nothing, not that nothing
+    exists.
     """
-    if _graded_injective(graph):
+    if _graded(graph):
         return None  # translation moves every key multiset: nothing periodic
-    if graph.is_lazy:
-        verts = graph.sample_vertices(min(bounds.sample_depth, 3))
-    else:
-        verts = list(graph.vertices)
-    if graph.is_lazy or graph.has_sources():
-        # each candidate needs a rewrite search; keep both the per-candidate
-        # cost and the candidate count small (a real witness is short)
-        scan = replace(bounds, rewrite=min(bounds.rewrite, 6),
-                       node_cap=min(bounds.node_cap, 500))
-        budget = 2000
-    else:
-        scan = bounds
-        budget = 20000
-    for a, p in islice(_periodic_candidates(graph, verts, bounds), budget):
+    verts = graph.sample_vertices(bounds.sample_depth)
+    # where a candidate needs a rewrite search, keep its cost small (a real
+    # witness is short); the level engine reads neither field
+    scan = replace(bounds, rewrite=min(bounds.rewrite, 6),
+                   node_cap=min(bounds.node_cap, 500))
+    for a, p in islice(_periodic_candidates(graph, verts, bounds), PERIODIC_BUDGET):
         if t_equal(graph, a, act(p, a), bounds=scan).is_yes:
             return a, p
     return None
@@ -540,7 +533,7 @@ def _periodic_candidates(graph, verts: Sequence[VertexId], bounds: Bounds):
 def acts_freely(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     """Does the shift act freely (no nonzero element fixed by a nonzero shift)?
 
-    Decision routes, strongest first: graded deterministic families are free
+    Decision routes, strongest first: graded families are free
     because translation moves every key multiset; a single-vertex graph
     without sources is free exactly when all color multiplicities are at
     least 2 and multiplicatively independent; an atomic finite graph is
@@ -548,7 +541,7 @@ def acts_freely(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     otherwise a bounded periodic-element search can certify non-freeness.
     """
     k = graph.k
-    if _graded_injective(graph):
+    if _graded(graph):
         return yes(Certificate("graded_translation", {}),
                    note="finite key multisets admit no nonzero translation symmetry")
 
@@ -574,7 +567,8 @@ def acts_freely(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     if found is not None:
         a, p = found
         return no(Certificate("periodic_pair", {"element": a, "period": p}))
-    return unknown("no periodic element in the bounded search box")
+    return unknown(f"no periodic element among the first {PERIODIC_BUDGET} "
+                   "candidates of the bounded search box (monoid.PERIODIC_BUDGET)")
 
 
 def _single_vertex_periodic_pair(graph, counts: Sequence[int]) -> Tuple[TElement, Vec]:
@@ -697,7 +691,7 @@ def _replay_composite(graph, tri: Tri) -> bool:
 
 @register_replayer("graded_translation")
 def _replay_graded_translation(graph, tri: Tri) -> bool:
-    return _graded_injective(graph)
+    return _graded(graph)
 
 
 @register_replayer("free_multiplicative")
@@ -722,6 +716,8 @@ def _replay_periodic_pair(graph, tri: Tri) -> bool:
 
 @register_replayer("atomic_closure")
 def _replay_atomic_closure(graph, tri: Tri) -> bool:
+    if graph.is_lazy or graph.has_sources():
+        return False  # outside the closure criterion, as in is_atomic
     claimed = tri.certificate.data["leaves"]
     if len(leaves(graph, claimed)) != len(claimed):
         return False
@@ -732,9 +728,9 @@ def _replay_atomic_closure(graph, tri: Tri) -> bool:
 @register_replayer("not_atomic")
 def _replay_not_atomic(graph, tri: Tri) -> bool:
     d = tri.certificate.data
-    all_leaves = atoms(graph)
-    closure = saturated_hereditary_closure(graph, all_leaves)
-    return d["missing"] not in closure
+    if graph.is_lazy or graph.has_sources() or d["missing"] not in graph.vertex_index:
+        return False
+    return d["missing"] not in saturated_hereditary_closure(graph, atoms(graph))
 
 
 def _sampled_leaf_count(graph, d) -> Optional[int]:

@@ -156,51 +156,6 @@ def predecessors(graph: GraphLike, elem: FreeElement) -> List[Tuple[FreeElement,
     return out
 
 
-def reachable(graph: GraphLike, elem: FreeElement, bound: int,
-              node_cap: int = DEFAULT_NODE_CAP) -> Tuple[Dict[FreeElement, List[StepLabel]], bool]:
-    """Forward closure of ``elem`` under at most ``bound`` steps.
-
-    Returns (mapping element -> derivation trace, complete) where complete
-    means the closure saturated before hitting either bound.
-    """
-    traces: Dict[FreeElement, List[StepLabel]] = {elem: []}
-    frontier = [elem]
-    complete = True
-    for _ in range(bound):
-        if not frontier:
-            return traces, True
-        nxt = []
-        for cur in frontier:
-            for succ, label in successors(graph, cur):
-                if succ not in traces:
-                    traces[succ] = traces[cur] + [label]
-                    nxt.append(succ)
-                    if len(traces) > node_cap:
-                        return traces, False
-        frontier = nxt
-    if frontier:
-        complete = False
-    return traces, complete
-
-
-def common_reduct(graph: GraphLike, a: FreeElement, b: FreeElement, bound: int,
-                  node_cap: int = DEFAULT_NODE_CAP):
-    """A common forward reduct of a and b within the bound, if one exists.
-
-    Returns (gamma, trace_a, trace_b) or None.  On graphs without sources a
-    common reduct exists if and only if the elements are congruent, so this
-    doubles as a confluence-based equality check there; with sources the
-    absence of a common reduct decides nothing.
-    """
-    ra, _ = reachable(graph, a, bound, node_cap)
-    rb, _ = reachable(graph, b, bound, node_cap)
-    meet = set(ra) & set(rb)
-    if not meet:
-        return None
-    gamma = min(meet, key=lambda e: (len(ra[e]) + len(rb[e]), repr(e)))
-    return gamma, ra[gamma], rb[gamma]
-
-
 def _neighbors(graph: GraphLike, elem: FreeElement):
     return successors(graph, elem) + predecessors(graph, elem)
 
@@ -208,9 +163,13 @@ def _neighbors(graph: GraphLike, elem: FreeElement):
 def _invariant_separates(graph, a: FreeElement, b: FreeElement) -> bool:
     """Is a - b outside the integer lattice spanned by the relation vectors
     (finite graphs)?  Each step changes the coefficient vector by a relation
-    vector, so then a and b are never congruent."""
+    vector, so then a and b are never congruent.  ValueError for a
+    generator the graph lacks."""
     verts = list(graph.vertex_ids())
     idx = {v: i for i, v in enumerate(verts)}
+    for g in a.support() + b.support():
+        if g not in idx:
+            raise ValueError(f"{g!r} is not a vertex of the graph")
     rels = []
     for v in verts:
         for color in range(graph.k):

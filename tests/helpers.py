@@ -1,0 +1,65 @@
+"""Helpers only the tests use: a bounded forward rewriting closure, common
+reducts built on it, and the disjoint union of two finite graphs."""
+
+from typing import Dict, List, Tuple
+
+from kgraphs.kgraph import Edge, KGraph, Square
+from kgraphs.rewrite import DEFAULT_NODE_CAP, FreeElement, StepLabel, successors
+
+
+def reachable(graph, elem: FreeElement, bound: int,
+              node_cap: int = DEFAULT_NODE_CAP) -> Tuple[Dict[FreeElement, List[StepLabel]], bool]:
+    """Forward closure of ``elem`` under at most ``bound`` steps.
+
+    Returns (mapping element -> derivation trace, complete) where complete
+    means the closure saturated before hitting either bound.
+    """
+    traces: Dict[FreeElement, List[StepLabel]] = {elem: []}
+    frontier = [elem]
+    for _ in range(bound):
+        if not frontier:
+            return traces, True
+        nxt = []
+        for cur in frontier:
+            for succ, label in successors(graph, cur):
+                if succ not in traces:
+                    traces[succ] = traces[cur] + [label]
+                    nxt.append(succ)
+                    if len(traces) > node_cap:
+                        return traces, False
+        frontier = nxt
+    return traces, not frontier
+
+
+def common_reduct(graph, a: FreeElement, b: FreeElement, bound: int,
+                  node_cap: int = DEFAULT_NODE_CAP):
+    """A common forward reduct of a and b within the bound, if one exists.
+
+    Returns (gamma, trace_a, trace_b) or None.  On graphs without sources a
+    common reduct exists if and only if the elements are congruent; with
+    sources the absence of a common reduct decides nothing.
+    """
+    ra, _ = reachable(graph, a, bound, node_cap)
+    rb, _ = reachable(graph, b, bound, node_cap)
+    meet = set(ra) & set(rb)
+    if not meet:
+        return None
+    gamma = min(meet, key=lambda e: (len(ra[e]) + len(rb[e]), repr(e)))
+    return gamma, ra[gamma], rb[gamma]
+
+
+def disjoint_union(a: KGraph, b: KGraph, tags: Tuple[str, str] = ("L", "R")) -> KGraph:
+    """Side-by-side union of two finite graphs of the same rank."""
+    if a.k != b.k:
+        raise ValueError("ranks differ")
+
+    def remap(g: KGraph, t: str):
+        vs = [(t, v) for v in g.vertices]
+        es = [Edge((t, e.id), e.color, (t, e.range), (t, e.source)) for e in g.edges]
+        sq = [Square(((t, s.lo[0]), (t, s.lo[1])), ((t, s.hi[0]), (t, s.hi[1])))
+              for s in g.squares]
+        return vs, es, sq
+
+    va, ea, sa = remap(a, tags[0])
+    vb, eb, sb = remap(b, tags[1])
+    return KGraph(a.k, va + vb, ea + eb, sa + sb, name=f"{a.name}+{b.name}")

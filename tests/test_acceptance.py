@@ -7,6 +7,7 @@ stored certificates in the final criterion.
 
 import random
 
+from helpers import common_reduct
 from kgraphs import degrees as dg
 from kgraphs import families
 from kgraphs.classify import (count_line_point_classes, is_aperiodic,
@@ -20,7 +21,7 @@ from kgraphs.monoid import (Bounds, DEFAULT_BOUNDS, TElement, act,
                             m_congruent, push_to_level, refine, t_equal,
                             t_equal_rewrite, t_leq)
 from kgraphs.paths import Path, mce
-from kgraphs.rewrite import FreeElement, common_reduct, congruent
+from kgraphs.rewrite import FreeElement, congruent
 from kgraphs.tri import replay
 
 RECORD = []  # (graph, tri) pairs re-verified by criterion 10

@@ -3,6 +3,7 @@ from itertools import islice
 
 import pytest
 
+from helpers import disjoint_union
 from kgraphs import classify, families, kgraph, lattice, monoid
 from kgraphs.classify import (count_line_point_classes, is_aperiodic,
                               is_cofinal, is_semisimple, is_strongly_aperiodic,
@@ -81,10 +82,13 @@ def test_strong_aperiodicity_quotients(looptail, one_vertex_3x2):
     assert replay(one_vertex_3x2, tri)
 
 
-def test_line_points_finite(loop_pair_tail, cycle4):
-    # orbits on finite graphs always revisit, so no line points exist
+def test_line_points_finite(monkeypatch, loop_pair_tail, cycle4):
+    # orbits on finite graphs always revisit, so no line points exist and no
+    # orbit is walked to find that out
+    calls = _count_calls(monkeypatch, "leaf_orbit_collision", classify)
     assert line_points(loop_pair_tail, DEFAULT_BOUNDS) == []
     assert line_points(cycle4, DEFAULT_BOUNDS) == []
+    assert calls == []
     assert socle_vertices(cycle4, DEFAULT_BOUNDS) == []
     assert socle_essential(cycle4, DEFAULT_BOUNDS).is_no
 
@@ -118,6 +122,22 @@ def test_aperiodic_replays(loop_pair_tail, one_vertex_3x2, cycle4):
         assert replay(g, tri)
 
 
+def test_forged_conjunction_needs_both_parts(cycle4):
+    assert not replay(cycle4, yes(Certificate("conjunction", {"parts": ()})))
+
+
+def test_forged_quotients_aperiodic_needs_every_quotient(cycle4):
+    assert not replay(cycle4, yes(Certificate("quotients_aperiodic", {"parts": ()})))
+
+
+def test_forged_quotient_periodic_needs_a_hereditary_saturated_set(looptail):
+    # looptail/{a} is periodic, but {a} is not hereditary: a sees b
+    inner = is_aperiodic(kgraph.quotient_graph(looptail, {"a"}), DEFAULT_BOUNDS)
+    assert inner.is_no
+    forged = no(Certificate("quotient_periodic", {"h": ("a",), "inner": inner}))
+    assert not replay(looptail, forged)
+
+
 def test_report_verdicts_replay(loop_pair_tail, looptail):
     for g in (loop_pair_tail, looptail):
         r = kp_report(g, DEFAULT_BOUNDS)
@@ -126,8 +146,7 @@ def test_report_verdicts_replay(loop_pair_tail, looptail):
 
 
 def test_disjoint_union_not_cofinal():
-    g = families.disjoint_union(families.one_vertex_3x2(),
-                                families.cycle_pullback())
+    g = disjoint_union(families.one_vertex_3x2(), families.cycle_pullback())
     tri = is_cofinal(g)
     assert tri.is_no
     assert replay(g, tri)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import disjoint_union
 from kgraphs import families
 from kgraphs import intlinalg as il
 from kgraphs.classify import is_cofinal
@@ -283,7 +284,7 @@ def test_prime_ideals(looptail):
 
 
 def test_prime_ideal_negative():
-    g = families.disjoint_union(families.loop_pair_tail(), families.looptail())
+    g = disjoint_union(families.loop_pair_tail(), families.looptail())
     empty = is_prime_ideal(g, frozenset())
     assert empty.is_no  # the two components never meet
     assert replay(g, empty)

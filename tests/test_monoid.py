@@ -227,6 +227,21 @@ def test_grid_all_leaves(grid2):
     assert replay(grid2, tri)
 
 
+@pytest.mark.parametrize("name, missing", [("fan3", "x"), ("arrow", "u"),
+                                           ("bratteli", (99, 0)), ("cycle4", "zz")],
+                         ids=["fan3", "arrow", "bratteli", "cycle4"])
+def test_forged_not_atomic_is_rejected(name, missing):
+    # graphs with sources and lazy graphs lie outside the closure criterion,
+    # and the missing vertex must be one of the graph's
+    g = families.FAMILIES[name]()
+    assert not replay(g, no(Certificate("not_atomic", {"leaves": [], "missing": missing})))
+
+
+def test_forged_atomic_closure_on_a_lazy_graph_is_rejected(grid2):
+    leaves = grid2.sample_vertices(DEFAULT_BOUNDS.sample_depth)
+    assert not replay(grid2, yes(Certificate("atomic_closure", {"leaves": leaves})))
+
+
 def test_bratteli_no_atoms(bratteli):
     tri = is_atomic(bratteli, DEFAULT_BOUNDS)
     assert tri.is_no

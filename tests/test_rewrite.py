@@ -1,7 +1,6 @@
-from kgraphs import families
-from kgraphs.rewrite import (FreeElement, common_reduct, congruent, expansion,
-                             reachable, step, successors)
-from kgraphs.tri import replay
+from helpers import common_reduct, reachable
+from kgraphs.rewrite import FreeElement, congruent, expansion, successors
+from kgraphs.tri import Certificate, no, replay
 
 
 def F(*names):
@@ -84,6 +83,12 @@ def test_integer_invariant_replay(one_vertex_3x3):
     assert tri.is_no
     assert tri.certificate.kind == "integer_invariant"
     assert replay(g, tri)
+
+
+def test_integer_invariant_rejects_unknown_generator(loop_pair_tail):
+    forged = no(Certificate("integer_invariant",
+                            {"left": FreeElement.single("zz"), "right": F("u")}))
+    assert not replay(loop_pair_tail, forged)
 
 
 def test_reachable_bounded(loop_pair_tail):
