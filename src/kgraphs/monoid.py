@@ -223,9 +223,9 @@ def graded_keys(graph, a: TElement) -> Counter:
 def t_equal(graph, a: TElement, b: TElement, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     """Decide equality of two elements of the graded monoid.
 
-    Graded lazy families compare key multisets, finite graphs
-    without sources always get a verdict from the level engine, and every
-    other graph goes to the bounded skew rewriting of :func:`t_equal_rewrite`.
+    Graded lazy families compare key multisets, finite graphs without
+    sources always get a verdict from the level engine, and every other
+    graph goes to the bounded skew rewriting of :func:`t_equal_rewrite`.
     """
     if a == b:
         return yes(Certificate("level_equal", {"a": a, "b": b, "level": None}))
@@ -533,10 +533,10 @@ def _periodic_candidates(graph, verts: Sequence[VertexId], bounds: Bounds):
 def acts_freely(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     """Does the shift act freely (no nonzero element fixed by a nonzero shift)?
 
-    Decision routes, strongest first: graded families are free
-    because translation moves every key multiset; a single-vertex graph
-    without sources is free exactly when all color multiplicities are at
-    least 2 and multiplicatively independent; an atomic finite graph is
+    Decision routes, strongest first: graded families are free because
+    translation moves every key multiset; a single-vertex graph without
+    sources is free exactly when all color multiplicities are at least 2
+    and multiplicatively independent; an atomic finite graph is
     never free because some leaf orbit revisits a vertex (pigeonhole);
     otherwise a bounded periodic-element search can certify non-freeness.
     """
