@@ -67,7 +67,6 @@ def count_line_point_classes(graph, bounds: Bounds = DEFAULT_BOUNDS) -> int:
     are read once for all of them.
     """
     pts = line_points(graph, bounds)
-    radius = bounds.sample_depth * 2
     parent = list(range(len(pts)))
 
     def find(i):
@@ -79,7 +78,7 @@ def count_line_point_classes(graph, bounds: Bounds = DEFAULT_BOUNDS) -> int:
     sources = functools.cache(lambda w: single_sources(graph, w))
     owner: Dict[Any, int] = {}
     for i, v in enumerate(pts):
-        for w in bfs([v], sources, radius):
+        for w in bfs([v], sources, 2 * bounds.sample_depth):
             if sources(w) is None:  # checked before bfs expands w
                 raise ValueError(f"{v!r} is not a leaf")
             if w in owner:

@@ -31,7 +31,7 @@ from . import degrees as dg
 from . import intlinalg as il
 from . import rewrite as rw
 from .kgraph import (LAZY_LEAF_DEPTH, GraphLike, VertexId, is_leaf, leaves,
-                     shared_fact, single_sources, skew_product)
+                     shared_fact, skew_product)
 from .lattice import SemigroupCapExceeded, saturated_hereditary_closure
 from .tri import Certificate, Tri, no, register_replayer, replay, unknown, yes
 
@@ -456,22 +456,24 @@ def leaf_orbit_collision(graph, v: VertexId,
     Walks the orbit over the box [0, radius]^k in 1-norm order (earlier
     colors first on ties) and reports the first revisit; on a finite graph a
     revisit always exists along a single color by pigeonhole once the radius
-    reaches the vertex count.  ValueError if the orbit meets a vertex that
-    branches.
+    reaches the vertex count.
     """
     k = graph.k
     first: Dict[VertexId, Vec] = {}
     cache: Dict[Vec, VertexId] = {dg.zero(k): v}
 
     def vertex_at(m: Vec) -> VertexId:
-        if m not in cache:
-            i = next(i for i in range(k) if m[i] > 0)
-            prev = vertex_at(dg.sub(m, dg.unit(k, i)))
-            srcs = single_sources(graph, prev)
-            if srcs is None:
-                raise ValueError(f"{v!r} is not a leaf: branching at {prev!r}")
-            cache[m] = srcs[i]
-        return cache[m]
+        if m in cache:
+            return cache[m]
+        for i in range(k):
+            if m[i] > 0:
+                prev = vertex_at(dg.sub(m, dg.unit(k, i)))
+                out = graph.out_edges(prev, i)
+                if len(out) != 1:
+                    raise ValueError(f"{v!r} is not a leaf: branching at {prev!r}")
+                cache[m] = out[0].source
+                return cache[m]
+        raise AssertionError
 
     for m in sorted(dg.box(dg.zero(k), (radius,) * k),
                     key=lambda m: (dg.norm1(m), tuple(-x for x in m))):

@@ -8,40 +8,24 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "kgraphs"
 
 
-def _names(node):
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
-def _quoted_names(node):
-    """Names inside the string constants of ``node``: quoted annotations
-    and the entries of ``__all__``."""
-    return set().union(*(_names(ast.parse(c.value, mode="eval")) for c in ast.walk(node)
-                         if isinstance(c, ast.Constant) and isinstance(c.value, str)))
-
-
 def unused_imports(source: str):
+    """(line, name) for each imported name the source never uses; the
+    names a package lists in ``__all__`` count as used."""
     tree = ast.parse(source)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            names = [a.asname or a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-    used = _names(tree)
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
-            args += [a for a in (node.args.vararg, node.args.kwarg) if a]
-            for ann in [a.annotation for a in args] + [node.returns]:
-                if ann is not None:
-                    used |= _quoted_names(ann)
-        elif isinstance(node, ast.AnnAssign):
-            used |= _quoted_names(node.annotation)
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used |= _quoted_names(node.value)
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        imported.update(dict.fromkeys(names, node.lineno))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= {c.value for c in node.value.elts}
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -51,5 +35,6 @@ def test_no_unused_imports(path):
 
 
 def test_unused_import_is_found():
-    src = 'from typing import List, Tuple\nimport os.path\nx: "List[int]" = []\n'
+    src = ("from typing import List, Set, Tuple\nimport os.path\n"
+           "x: List[int] = []\n__all__ = ['Set']\n")
     assert unused_imports(src) == [(1, "Tuple"), (2, "os")]
