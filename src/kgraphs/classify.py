@@ -17,14 +17,14 @@ import functools
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from .kgraph import (VertexId, bfs, is_leaf, near_targets, quotient_graph,
-                     shared_fact, single_sources, validate)
+from .kgraph import (VertexId, bfs, graph_fact, is_leaf, near_targets,
+                     quotient_graph, single_sources, validate)
 from .lattice import (LATTICE_LIMIT, SemigroupCapExceeded, all_hs_subsets,
                       is_hereditary, is_saturated, proper_vertex_closures,
                       saturated_hereditary_closure)
 from .monoid import (Bounds, DEFAULT_BOUNDS, TElement, act, acts_freely, atoms,
                      is_atomic, leaf_orbit_collision, t_equal)
-from .tri import Certificate, Tri, no, register_replayer, replay, unknown, yes
+from .tri import NO, YES, Certificate, Tri, no, register_replayer, replay, unknown, yes
 
 
 def is_cofinal(graph) -> Tri:
@@ -44,7 +44,7 @@ def is_cofinal(graph) -> Tri:
     return yes(Certificate("trivial_lattice", {}))
 
 
-@shared_fact
+@graph_fact
 def line_points(graph, bounds: Bounds = DEFAULT_BOUNDS) -> List[VertexId]:
     """Leaves whose orbit never revisits a vertex.
 
@@ -192,17 +192,8 @@ def is_semisimple(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     On a finite graph without sources this is always no: leaves force orbit
     revisits (not free) and their absence kills atomicity.
     """
-    atomic = is_atomic(graph, bounds)
-    free = acts_freely(graph, bounds)
-    if atomic.is_no:
-        return no(Certificate("conjunction_fail", {"part": atomic, "which": "atomic"}))
-    if free.is_no:
-        return no(Certificate("conjunction_fail", {"part": free, "which": "free"}))
-    if atomic.is_yes and free.is_yes:
-        bounded = bool(atomic.note) or bool(free.note)
-        return yes(Certificate("conjunction", {"parts": (atomic, free)}),
-                   note="bounded verdict" if bounded else "")
-    return unknown("atomicity or freeness undecided")
+    return _tri_and(is_atomic(graph, bounds), acts_freely(graph, bounds),
+                    ("atomic", "freeAction"), "atomicity or freeness undecided")
 
 
 # ---------------------------------------------------------------------------
@@ -242,87 +233,101 @@ class ClassificationReport:
                 "socleEssential": self.socle_essential}
 
 
-def _tri_and(a: Tri, b: Tri) -> Tri:
-    if a.is_no:
-        return no(Certificate("conjunction_fail", {"part": a, "which": "left"}))
-    if b.is_no:
-        return no(Certificate("conjunction_fail", {"part": b, "which": "right"}))
+# the certificate kinds that decide each property a derived certificate
+# names in its ``of`` field, yes and no alike
+CERTIFYING_KINDS = {
+    "cofinal": {"trivial_lattice", "proper_hs"},
+    "aperiodic": {"free_action", "periodic_atom"},
+    "atomic": {"atomic_closure", "not_atomic", "all_leaves_sampled", "no_atoms_sampled"},
+    "freeAction": {"graded_translation", "free_multiplicative", "periodic_pair"},
+}
+
+
+def _certifies(graph, part: Tri, prop: str, value: str) -> bool:
+    """Is ``part`` a ``value`` verdict on ``prop`` that replays?"""
+    return (part.value == value and part.certificate is not None
+            and part.certificate.kind in CERTIFYING_KINDS.get(prop, ())
+            and replay(graph, part))
+
+
+def _tri_and(a: Tri, b: Tri, of: Tuple[str, str],
+             undecided: str = "conjunct undecided") -> Tri:
+    """a and b, verdicts on the properties ``of``; bounded if a part is."""
+    for part, prop in zip((a, b), of):
+        if part.is_no:
+            return no(Certificate("conjunction_fail", {"part": part, "of": prop}))
     if a.is_yes and b.is_yes:
-        return yes(Certificate("conjunction", {"parts": (a, b)}))
-    return unknown("conjunct undecided")
+        bounded = any(p.certificate.data.get("bounded") for p in (a, b))
+        return yes(Certificate("conjunction", {"parts": (a, b), "of": of}),
+                   note="bounded verdict" if bounded else "")
+    return unknown(undecided)
 
 
 def kp_report(graph, bounds: Bounds = DEFAULT_BOUNDS) -> ClassificationReport:
-    """The full classification summary for one graph; each fact the
-    classifiers share is computed once (see ``kgraph.shared_fact``)."""
-    graph._facts = {}
+    """The full classification summary for one graph; the structure its
+    classifiers share is kept on the graph (see ``kgraph.graph_fact``)."""
+    warnings: List[str] = []
+    has_src = False
+    if not graph.is_lazy:
+        rep = validate(graph)
+        warnings.extend(rep.warnings)
+        has_src = rep.has_sources
+    cofinal = is_cofinal(graph)
+    atomic = is_atomic(graph, bounds)
+    free = acts_freely(graph, bounds)
+    aper = is_aperiodic(graph, bounds)
+    strong = is_strongly_aperiodic(graph, bounds) if not graph.is_lazy and not has_src \
+        else unknown("not computed")
+    simple = _tri_and(cofinal, aper, ("cofinal", "aperiodic"))
+    semi = is_semisimple(graph, bounds)
     try:
-        warnings: List[str] = []
-        has_src = False
-        if not graph.is_lazy:
-            rep = validate(graph)
-            warnings.extend(rep.warnings)
-            has_src = rep.has_sources
-        cofinal = is_cofinal(graph)
-        atomic = is_atomic(graph, bounds)
-        free = acts_freely(graph, bounds)
-        aper = is_aperiodic(graph, bounds)
-        strong = is_strongly_aperiodic(graph, bounds) if not graph.is_lazy and not has_src \
-            else unknown("not computed")
-        simple = _tri_and(cofinal, aper)
-        semi = is_semisimple(graph, bounds)
-        try:
-            pts = line_points(graph, bounds)
-            classes = count_line_point_classes(graph, bounds)
-            soc = socle_vertices(graph, bounds)
-            ess = socle_essential(graph, bounds)
-        except ValueError:
-            pts, classes, soc = [], 0, []
-            ess = unknown("line point scan failed")
-        witness = None
-        if free.is_no and free.certificate.kind == "periodic_pair":
-            d = free.certificate.data
-            witness = (d["element"], tuple(d["period"]))
-        lattice_sets = None
-        if not cofinal.is_unknown and len(graph.vertices) <= LATTICE_LIMIT:
-            lattice_sets = [tuple(sorted(h, key=repr)) for h in all_hs_subsets(graph)]
-        return ClassificationReport(
-            name=getattr(graph, "name", ""), rank=graph.k, has_sources=has_src,
-            cofinal=cofinal, atomic=atomic, free_action=free, aperiodic=aper,
-            strongly_aperiodic=strong, graded_basic_ideal_simple=cofinal,
-            simple=simple, semisimple=semi, line_points=pts,
-            line_point_classes=classes, socle=soc, socle_essential=ess,
-            atom_vertices=list(atoms(graph, bounds)), periodic_witness=witness,
-            lattice=lattice_sets, warnings=warnings)
-    finally:
-        del graph._facts
+        pts = line_points(graph, bounds)
+        classes = count_line_point_classes(graph, bounds)
+        soc = socle_vertices(graph, bounds)
+        ess = socle_essential(graph, bounds)
+    except ValueError:
+        pts, classes, soc = [], 0, []
+        ess = unknown("line point scan failed")
+    witness = None
+    if free.is_no and free.certificate.kind == "periodic_pair":
+        d = free.certificate.data
+        witness = (d["element"], tuple(d["period"]))
+    lattice_sets = None
+    if not cofinal.is_unknown and len(graph.vertices) <= LATTICE_LIMIT:
+        lattice_sets = [tuple(sorted(h, key=repr)) for h in all_hs_subsets(graph)]
+    return ClassificationReport(
+        name=getattr(graph, "name", ""), rank=graph.k, has_sources=has_src,
+        cofinal=cofinal, atomic=atomic, free_action=free, aperiodic=aper,
+        strongly_aperiodic=strong, graded_basic_ideal_simple=cofinal,
+        simple=simple, semisimple=semi, line_points=pts,
+        line_point_classes=classes, socle=soc, socle_essential=ess,
+        atom_vertices=list(atoms(graph, bounds)), periodic_witness=witness,
+        lattice=lattice_sets, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
 # certificate replay
 
 
-@register_replayer("trivial_lattice")
+@register_replayer("trivial_lattice", YES)
 def _replay_trivial_lattice(graph, tri: Tri) -> bool:
     return not graph.is_lazy and not proper_vertex_closures(graph)
 
 
-@register_replayer("proper_hs")
+@register_replayer("proper_hs", NO)
 def _replay_proper_hs(graph, tri: Tri) -> bool:
     h = set(tri.certificate.data["h"])
-    return bool(h) and h != set(graph.vertices) \
-        and is_hereditary(graph, h) and is_saturated(graph, h)
+    return bool(h) and is_hereditary(graph, h) and h != set(graph.vertices) \
+        and is_saturated(graph, h)
 
 
-@register_replayer("free_action")
+@register_replayer("free_action", YES)
 def _replay_free_action(graph, tri: Tri) -> bool:
-    if not graph.is_lazy and graph.has_sources():
-        return False
-    inner = tri.certificate.data["inner"]
-    return inner.is_yes and replay(graph, inner)
+    return (graph.is_lazy or not graph.has_sources()) and \
+        _certifies(graph, tri.certificate.data["inner"], "freeAction", YES)
 
 
-@register_replayer("periodic_atom")
+@register_replayer("periodic_atom", NO)
 def _replay_periodic_atom(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     a, p = d["element"], tuple(d["period"])
@@ -336,40 +341,36 @@ def _replay_periodic_atom(graph, tri: Tri) -> bool:
     return is_atomic(graph).is_yes
 
 
-@register_replayer("quotient_periodic")
+@register_replayer("quotient_periodic", NO)
 def _replay_quotient_periodic(graph, tri: Tri) -> bool:
     d = tri.certificate.data
-    if tuple(d["h"]) not in _proper_hs_sets(graph):
-        return False
-    q = quotient_graph(graph, set(d["h"]))
-    return d["inner"].is_no and replay(q, d["inner"])
+    return tuple(d["h"]) in _proper_hs_sets(graph) and \
+        _certifies(quotient_graph(graph, set(d["h"])), d["inner"], "aperiodic", NO)
 
 
-@register_replayer("quotients_aperiodic")
+@register_replayer("quotients_aperiodic", YES)
 def _replay_quotients_aperiodic(graph, tri: Tri) -> bool:
     parts = tri.certificate.data["parts"]
-    if [h for h, _ in parts] != _proper_hs_sets(graph):
-        return False
-    for h, verdict in parts:
-        q = quotient_graph(graph, set(h))
-        if not (verdict.is_yes and replay(q, verdict)):
-            return False
-    return True
+    return [h for h, _ in parts] == _proper_hs_sets(graph) and all(
+        _certifies(quotient_graph(graph, set(h)), verdict, "aperiodic", YES)
+        for h, verdict in parts)
 
 
-@register_replayer("conjunction")
+@register_replayer("conjunction", YES)
 def _replay_conjunction(graph, tri: Tri) -> bool:
-    parts = tri.certificate.data["parts"]
-    return len(parts) == 2 and all(p.is_yes and replay(graph, p) for p in parts)
+    d = tri.certificate.data
+    parts, of = d["parts"], d.get("of", ())
+    return len(parts) == len(of) == 2 and all(
+        _certifies(graph, p, prop, YES) for p, prop in zip(parts, of))
 
 
-@register_replayer("conjunction_fail")
+@register_replayer("conjunction_fail", NO)
 def _replay_conjunction_fail(graph, tri: Tri) -> bool:
-    part = tri.certificate.data["part"]
-    return part.is_no and replay(graph, part)
+    d = tri.certificate.data
+    return _certifies(graph, d["part"], d.get("of"), NO)
 
 
-@register_replayer("socle_essential")
+@register_replayer("socle_essential", YES)
 def _replay_socle_essential(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     if not graph.is_lazy:
@@ -379,6 +380,6 @@ def _replay_socle_essential(graph, tri: Tri) -> bool:
     return socle_essential(graph, bounds).is_yes
 
 
-@register_replayer("socle_gap")
+@register_replayer("socle_gap", NO)
 def _replay_socle_gap(graph, tri: Tri) -> bool:
     return socle_essential(graph).is_no

@@ -173,12 +173,11 @@ def finite_grid(k: int, shape: Sequence[int]) -> KGraph:
 # lazy families
 
 
-def _deterministic_swap(graph_holder: dict):
+def _deterministic_swap(out_fn):
+    """Squares from ``out_fn``, not from the graph, which is then in no cycle."""
     def swap(x: Edge, y: Edge) -> Tuple[Edge, Edge]:
-        g = graph_holder["g"]
-        a = g.out_edges(x.range, y.color)[0]
-        b = g.out_edges(a.source, x.color)[0]
-        return a, b
+        a = out_fn(x.range, y.color)[0]
+        return a, out_fn(a.source, x.color)[0]
     return swap
 
 
@@ -192,11 +191,8 @@ def grid(k: int = 2) -> LazyKGraph:
         w = dg.sub(v, dg.unit(k, i))
         return [Edge(("e", w, i), i, w, v)] if dg.is_nonneg(w) else []
 
-    holder: dict = {}
-    g = LazyKGraph(k, out_fn, _deterministic_swap(holder), roots=[dg.zero(k)],
-                   in_edges_fn=in_fn, level_fn=lambda v: v, name=f"grid{k}")
-    holder["g"] = g
-    return g
+    return LazyKGraph(k, out_fn, _deterministic_swap(out_fn), roots=[dg.zero(k)],
+                      in_edges_fn=in_fn, level_fn=lambda v: v, name=f"grid{k}")
 
 
 def delta(k: int = 2) -> LazyKGraph:
@@ -208,11 +204,8 @@ def delta(k: int = 2) -> LazyKGraph:
         w = dg.sub(v, dg.unit(k, i))
         return [Edge(("e", w, i), i, w, v)]
 
-    holder: dict = {}
-    g = LazyKGraph(k, out_fn, _deterministic_swap(holder), roots=[dg.zero(k)],
-                   in_edges_fn=in_fn, level_fn=lambda v: v, name=f"delta{k}")
-    holder["g"] = g
-    return g
+    return LazyKGraph(k, out_fn, _deterministic_swap(out_fn), roots=[dg.zero(k)],
+                      in_edges_fn=in_fn, level_fn=lambda v: v, name=f"delta{k}")
 
 
 def rank2_bratteli() -> LazyKGraph:

@@ -23,7 +23,7 @@ from typing import (Any, Callable, Collection, Dict, Hashable, Iterable, Iterato
 
 from . import degrees as dg
 from . import intlinalg as il
-from .tri import Certificate, Tri, no, register_replayer, yes
+from .tri import NO, YES, Certificate, Tri, no, register_replayer, yes
 
 VertexId = Hashable
 
@@ -60,6 +60,35 @@ class ValidationReport:
     rank: int = 0
     n_vertices: int = 0
     n_edges: int = 0
+
+
+def graph_fact(fn: Callable) -> Callable:
+    """Keep ``fn(graph, ...)`` in ``graph._store`` while the graph lives:
+    structure only, never a verdict, and nothing that refers to the graph.
+
+    Keyed by ``fn`` and its bound arguments, defaults filled in and lists
+    made tuples; a list result is kept as a tuple and handed out as a fresh
+    list, and a call that raises keeps nothing."""
+    sig = inspect.signature(fn)
+    arity = len(sig.parameters) - 1
+
+    @functools.wraps(fn)
+    def kept(graph, *args, **kwargs):
+        if kwargs or len(args) < arity:
+            bound = sig.bind(graph, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        key = (fn, *[tuple(a) if isinstance(a, list) else a for a in args])
+        try:
+            value, thaw = graph._store[key]
+        except KeyError:
+            value = fn(graph, *args)
+            thaw = isinstance(value, list)
+            if thaw:
+                value = tuple(value)
+            graph._store[key] = value, thaw
+        return list(value) if thaw else value
+    return kept
 
 
 class KGraph:
@@ -101,8 +130,7 @@ class KGraph:
             self.hi2lo[sq.hi] = sq.lo
 
         self._coord_cache: Dict[Tuple[int, ...], il.Matrix] = {}
-        self._reach: Optional[Tuple[int, ...]] = None
-        self._semigroup: Any = None  # lattice.semigroup, built on first use
+        self._store: Dict[tuple, Any] = {}  # see graph_fact
 
     # -- basic queries -------------------------------------------------
 
@@ -113,9 +141,7 @@ class KGraph:
     def in_edges(self, v: VertexId, color: int) -> List[Edge]:
         return self._in.get((v, color), [])
 
-    def vertex_ids(self) -> Tuple[VertexId, ...]:
-        return self.vertices
-
+    @graph_fact
     def has_sources(self) -> bool:
         return any(not self.out_edges(v, i)
                    for v in self.vertices for i in range(self.k))
@@ -125,15 +151,12 @@ class KGraph:
         window (see :meth:`LazyKGraph.sample_vertices`)."""
         return list(self.vertices)
 
+    @graph_fact
     def reach_rows(self) -> Tuple[int, ...]:
         """Row i is the bitmask of the vertices that vertex i reaches by a
-        path of any degree, itself included: one :func:`walk` per vertex,
-        computed once and kept, like the coordinate matrices."""
-        if self._reach is None:
-            idx = self.vertex_index
-            self._reach = tuple(sum(1 << idx[w] for w in walk(self, [v]))
-                                for v in self.vertices)
-        return self._reach
+        path of any degree, itself included: one :func:`walk` per vertex."""
+        idx = self.vertex_index
+        return tuple(sum(1 << idx[w] for w in walk(self, [v])) for v in self.vertices)
 
     # -- coordinate matrices -------------------------------------------
 
@@ -218,6 +241,7 @@ class LazyKGraph:
         self._in_fn = in_edges_fn
         self.level_fn = level_fn
         self.name = name
+        self._store: Dict[tuple, Any] = {}  # see graph_fact
 
     def out_edges(self, v: VertexId, color: int) -> List[Edge]:
         return self._out_fn(v, color)
@@ -236,6 +260,7 @@ class LazyKGraph:
             raise ValueError("swap_pair needs two distinct colors")
         return self._swap_fn(x, y)
 
+    @graph_fact
     def sample_vertices(self, depth: int) -> List[VertexId]:
         """Vertices reachable from the roots by at most ``depth`` edges.
 
@@ -317,29 +342,6 @@ def near_targets(starts: Iterable[VertexId],
     # layer, so the targets of that layer are found here
     targets += [w for w in reached[expanded:] if successors(w) is None]
     return set(bfs(targets, lambda s: preds.get(s, ()), steps))
-
-
-def shared_fact(fn: Callable) -> Callable:
-    """Compute ``fn(graph, ...)`` once per ``classify.kp_report`` call.
-
-    The report opens ``graph._facts`` for its length; while that dict exists
-    a result is kept there under ``fn`` and its bound arguments.  Otherwise
-    ``fn`` runs as written, so direct calls and replay always recompute.
-    """
-    sig = inspect.signature(fn)
-
-    @functools.wraps(fn)
-    def shared(graph, *args, **kwargs):
-        facts = getattr(graph, "_facts", None)
-        if facts is None:
-            return fn(graph, *args, **kwargs)
-        bound = sig.bind(graph, *args, **kwargs)
-        bound.apply_defaults()
-        key = (fn, *bound.args[1:])
-        if key not in facts:
-            facts[key] = fn(graph, *args, **kwargs)
-        return facts[key]
-    return shared
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +581,8 @@ def is_leaf(g: GraphLike, v: VertexId, depth: Optional[int] = None) -> Tri:
                                          "bounded": False}))
 
 
-def leaves(g: GraphLike, verts: Iterable[VertexId],
+@graph_fact
+def leaves(g: GraphLike, verts: Sequence[VertexId],
            depth: Optional[int] = None) -> List[VertexId]:
     """The leaves among ``verts``, in their order: one analysis for the set.
 
@@ -591,12 +594,11 @@ def leaves(g: GraphLike, verts: Iterable[VertexId],
     the whole set and one backward walk from the branching vertices it meets
     replace a walk per vertex (see :func:`near_targets`).
     """
-    verts = list(verts)
     steps = None
     if g.is_lazy:
         depth = LAZY_LEAF_DEPTH if depth is None else depth
         if depth == 0:
-            return verts
+            return list(verts)
         steps = depth - 1
     branching = near_targets(verts, lambda w: single_sources(g, w), steps)
     return [v for v in verts if v not in branching]
@@ -614,7 +616,7 @@ def single_sources(g: GraphLike, w: VertexId) -> Optional[List[VertexId]]:
     return out
 
 
-@register_replayer("leaf_branch")
+@register_replayer("leaf_branch", NO)
 def _replay_leaf_branch(g, tri: Tri) -> bool:
     d = tri.certificate.data
     w, i, dist = d["witness"], d["color"], d.get("distance")
@@ -627,7 +629,7 @@ def _replay_leaf_branch(g, tri: Tri) -> bool:
     return w in bfs([d["vertex"]], lambda u: single_sources(g, u) or (), dist)
 
 
-@register_replayer("leaf_walk")
+@register_replayer("leaf_walk", YES)
 def _replay_leaf_walk(g, tri: Tri) -> bool:
     d = tri.certificate.data
     rerun = is_leaf(g, d["vertex"], depth=d["depth"] if d["bounded"] else None)

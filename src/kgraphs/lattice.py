@@ -36,8 +36,8 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from . import degrees as dg
 from . import intlinalg as il
-from .kgraph import GraphLike, VertexId, bfs, shared_fact, walk
-from .tri import Certificate, Tri, no, register_replayer, unknown, yes
+from .kgraph import GraphLike, VertexId, bfs, graph_fact, walk
+from .tri import NO, YES, Certificate, Tri, no, register_replayer, unknown, yes
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,7 @@ from .tri import Certificate, Tri, no, register_replayer, unknown, yes
 SEMIGROUP_CAP = 4096  # states of the boolean reachability semigroup
 
 
-class SemigroupCapExceeded(RuntimeError):
+class SemigroupCapExceeded(ValueError):
     """The boolean reachability semigroup outgrew its state cap."""
 
 
@@ -68,7 +68,7 @@ class BooleanReach:
         def products(s):
             return (tuple(il.bool_vecmat(row, g) for row in s) for g in gens)
         found = bfs(gens, products, None)
-        self.states: List[Tuple[int, ...]] = list(islice(found, SEMIGROUP_CAP))
+        self.states: Tuple[Tuple[int, ...], ...] = tuple(islice(found, SEMIGROUP_CAP))
         if next(found, None) is not None:
             raise SemigroupCapExceeded("boolean reachability semigroup exceeded "
                                        f"{SEMIGROUP_CAP} states (lattice.SEMIGROUP_CAP)")
@@ -84,12 +84,11 @@ def _color_supports(graph) -> List[Tuple[int, ...]]:
     return [il.support(graph.color_matrix(i)) for i in range(graph.k)]
 
 
+@graph_fact
 def semigroup(graph) -> BooleanReach:
     """The graph's semigroup, built on first use and kept on the graph; a
     build past the cap keeps nothing, so the next use raises again."""
-    if graph._semigroup is None:
-        graph._semigroup = BooleanReach(graph)
-    return graph._semigroup
+    return BooleanReach(graph)
 
 
 def _mask(graph, vs: Iterable[VertexId]) -> int:
@@ -198,6 +197,7 @@ def is_saturated(graph, h: Iterable[VertexId]) -> bool:
                    for j in range(len(graph.vertices)) if not hmask >> j & 1)
 
 
+@graph_fact
 def proper_vertex_closures(graph) -> List[FrozenSet[VertexId]]:
     """The one-vertex closures other than V, smallest first (finite graphs):
     the lattice is trivial exactly when there are none, and the first is its
@@ -209,7 +209,7 @@ def proper_vertex_closures(graph) -> List[FrozenSet[VertexId]]:
 LATTICE_LIMIT = 20  # vertices; the lattice can have up to 2^|V| sets
 
 
-@shared_fact
+@graph_fact
 def all_hs_subsets(graph) -> List[FrozenSet[VertexId]]:
     """Every hereditary saturated subset, smallest first (finite graphs)."""
     if graph.is_lazy:
@@ -302,13 +302,13 @@ def is_prime_ideal(graph, h: Iterable[VertexId]) -> Tri:
 # certificate replay
 
 
-@register_replayer("ideal_member")
+@register_replayer("ideal_member", YES)
 def _replay_ideal_member(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     return not graph.is_lazy and not _outside(graph, d["a"], _unit_closure(graph, d["h"]))
 
 
-@register_replayer("ideal_nonmember")
+@register_replayer("ideal_nonmember", NO)
 def _replay_ideal_nonmember(graph, tri: Tri) -> bool:
     """The recorded U contains h and is hereditary and unit-saturated, so it
     contains the unit-degree closure of h; the witness, a support vertex
@@ -324,7 +324,7 @@ def _replay_ideal_nonmember(graph, tri: Tri) -> bool:
             and d["witness"] in _outside(graph, d["a"], umask))
 
 
-@register_replayer("not_prime")
+@register_replayer("not_prime", NO)
 def _replay_not_prime(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     if graph.is_lazy:
@@ -340,6 +340,6 @@ def _replay_not_prime(graph, tri: Tri) -> bool:
     return not reach[idx[v]] & reach[idx[w]] & _mask(graph, comp)
 
 
-@register_replayer("prime_tail")
+@register_replayer("prime_tail", YES)
 def _replay_prime_tail(graph, tri: Tri) -> bool:
     return is_prime_ideal(graph, set(tri.certificate.data["h"])).is_yes

@@ -30,10 +30,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import degrees as dg
 from . import intlinalg as il
 from . import rewrite as rw
-from .kgraph import (LAZY_LEAF_DEPTH, GraphLike, VertexId, is_leaf, leaves,
-                     shared_fact, skew_product)
+from .kgraph import (LAZY_LEAF_DEPTH, GraphLike, VertexId, graph_fact, is_leaf,
+                     leaves, skew_product)
 from .lattice import SemigroupCapExceeded, saturated_hereditary_closure
-from .tri import Certificate, Tri, no, register_replayer, replay, unknown, yes
+from .tri import NO, YES, Certificate, Tri, no, register_replayer, replay, unknown, yes
 
 Vec = Tuple[int, ...]
 
@@ -152,7 +152,10 @@ def common_level(a: TElement, b: TElement, k: int) -> Vec:
 def _level_vectors(graph, a: TElement, b: TElement,
                    t: Optional[Sequence[int]] = None) -> Tuple[Vec, il.Vector, il.Vector]:
     """(t, x, y): the level vectors of a and b at level t, by default at
-    their common level."""
+    their common level.  ValueError off a finite graph without sources,
+    where a push can send a nonzero element to the zero vector."""
+    if graph.is_lazy or graph.has_sources():
+        raise ValueError("level vectors need a finite graph without sources")
     if t is None:
         t = common_level(a, b, graph.k)
     return t, push_to_level(graph, a, t), push_to_level(graph, b, t)
@@ -322,12 +325,10 @@ def is_atom(graph, a: TElement, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     """
     if len(a.items) != 1 or a.items[0][1] != 1:
         return no(Certificate("composite", {"a": a}))
-    (v, n), _ = a.items[0]
-    leaf = is_leaf(graph, v, depth=bounds.leaf_depth if graph.is_lazy else None)
-    return leaf
+    (v, _), _ = a.items[0]
+    return is_leaf(graph, v, depth=bounds.leaf_depth if graph.is_lazy else None)
 
 
-@shared_fact
 def atoms(graph, bounds: Bounds = DEFAULT_BOUNDS) -> List[VertexId]:
     """Leaf vertices: their generators v(n) enumerate all atoms.
 
@@ -336,7 +337,6 @@ def atoms(graph, bounds: Bounds = DEFAULT_BOUNDS) -> List[VertexId]:
     return leaves(graph, graph.sample_vertices(bounds.sample_depth), bounds.leaf_depth)
 
 
-@shared_fact
 def is_atomic(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     """Is every nonzero element a sum of atoms?
 
@@ -448,6 +448,7 @@ def _period_candidates(k: int, radius: int) -> List[Vec]:
     return out
 
 
+@graph_fact
 def leaf_orbit_collision(graph, v: VertexId,
                          radius: int) -> Optional[Tuple[Vec, Vec, VertexId]]:
     """Two degrees at which the unique path from a leaf visits one vertex,
@@ -460,24 +461,19 @@ def leaf_orbit_collision(graph, v: VertexId,
     """
     k = graph.k
     first: Dict[VertexId, Vec] = {}
-    cache: Dict[Vec, VertexId] = {dg.zero(k): v}
-
-    def vertex_at(m: Vec) -> VertexId:
-        if m in cache:
-            return cache[m]
-        for i in range(k):
-            if m[i] > 0:
-                prev = vertex_at(dg.sub(m, dg.unit(k, i)))
-                out = graph.out_edges(prev, i)
-                if len(out) != 1:
-                    raise ValueError(f"{v!r} is not a leaf: branching at {prev!r}")
-                cache[m] = out[0].source
-                return cache[m]
-        raise AssertionError
-
+    at: Dict[Vec, VertexId] = {dg.zero(k): v}
+    # each m != 0 steps from m - e_i, i its first nonzero color, which has
+    # the smaller 1-norm and so comes earlier
     for m in sorted(dg.box(dg.zero(k), (radius,) * k),
                     key=lambda m: (dg.norm1(m), tuple(-x for x in m))):
-        w = vertex_at(m)
+        if any(m):
+            i = next(i for i, x in enumerate(m) if x)
+            prev = at[dg.sub(m, dg.unit(k, i))]
+            out = graph.out_edges(prev, i)
+            if len(out) != 1:
+                raise ValueError(f"{v!r} is not a leaf: branching at {prev!r}")
+            at[m] = out[0].source
+        w = at[m]
         if w in first:
             return first[w], m, w
         first[w] = m
@@ -487,6 +483,7 @@ def leaf_orbit_collision(graph, v: VertexId,
 PERIODIC_BUDGET = 2000  # candidates find_periodic_element tries
 
 
+@graph_fact
 def find_periodic_element(graph,
                           bounds: Bounds = DEFAULT_BOUNDS) -> Optional[Tuple[TElement, Vec]]:
     """Search the bounded box for a nonzero a and p != 0 with act(p, a) = a.
@@ -531,7 +528,6 @@ def _periodic_candidates(graph, verts: Sequence[VertexId], bounds: Bounds):
                             yield a, p
 
 
-@shared_fact
 def acts_freely(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     """Does the shift act freely (no nonzero element fixed by a nonzero shift)?
 
@@ -551,9 +547,9 @@ def acts_freely(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
         if len(graph.vertices) == 1:
             v = graph.vertices[0]
             counts = [len(graph.out_edges(v, i)) for i in range(k)]
-            if all(c >= 2 for c in counts) and il.exponent_rank(counts) == k:
+            witness = _single_vertex_periodic_pair(graph)
+            if witness is None:
                 return yes(Certificate("free_multiplicative", {"counts": counts}))
-            witness = _single_vertex_periodic_pair(graph, counts)
             return no(Certificate("periodic_pair",
                                   {"element": witness[0], "period": witness[1]}))
         leaf_set = atoms(graph, bounds)
@@ -573,10 +569,14 @@ def acts_freely(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
                    "candidates of the bounded search box (monoid.PERIODIC_BUDGET)")
 
 
-def _single_vertex_periodic_pair(graph, counts: Sequence[int]) -> Tuple[TElement, Vec]:
-    """A periodic pair on a one-vertex graph with dependent multiplicities."""
-    k = graph.k
-    v = graph.vertices[0]
+@graph_fact
+def _single_vertex_periodic_pair(graph) -> Optional[Tuple[TElement, Vec]]:
+    """A periodic pair on a one-vertex graph without sources; None when its
+    color counts are all at least 2 and multiplicatively independent."""
+    k, v = graph.k, graph.vertices[0]
+    counts = [len(graph.out_edges(v, i)) for i in range(k)]
+    if all(c >= 2 for c in counts) and il.exponent_rank(counts) == k:
+        return None
     for i, c in enumerate(counts):
         if c == 1:
             return TElement.gen(v, dg.zero(k)), dg.unit(k, i)
@@ -621,7 +621,7 @@ def refine(graph, a1: TElement, a2: TElement, b1: TElement, b2: TElement,
 # certificate replay
 
 
-@register_replayer("level_equal")
+@register_replayer("level_equal", YES)
 def _replay_level_equal(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     if d["level"] is None:
@@ -630,31 +630,27 @@ def _replay_level_equal(graph, tri: Tri) -> bool:
     return x == y
 
 
-@register_replayer("zero_class_t")
+@register_replayer("zero_class_t", NO)
 def _replay_zero_t(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     return d["a"].is_zero() != d["b"].is_zero()
 
 
-@register_replayer("equalizer")
+@register_replayer("equalizer", YES)
 def _replay_equalizer(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     _, x, y = _level_vectors(graph, d["a"], d["b"], d["level"])
     return _holds_at(graph, x, y, d["m"], operator.eq)
 
 
-@register_replayer("kernel_stable")
+@register_replayer("kernel_stable", NO)
 def _replay_kernel_stable(graph, tri: Tri) -> bool:
     d = tri.certificate.data
-    if graph.is_lazy or graph.has_sources():
-        return False
-    if tuple(d["m"]) != (len(graph.vertices),) * graph.k:
-        return False
     _, x, y = _level_vectors(graph, d["a"], d["b"], d["level"])
-    return _differ_at_mstar(graph, x, y)
+    return tuple(d["m"]) == (len(graph.vertices),) * graph.k and _differ_at_mstar(graph, x, y)
 
 
-@register_replayer("order_equalizer")
+@register_replayer("order_equalizer", YES)
 def _replay_order_equalizer(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     if d["level"] is None:
@@ -663,14 +659,14 @@ def _replay_order_equalizer(graph, tri: Tri) -> bool:
     return _holds_at(graph, x, y, d["m"], _leq)
 
 
-@register_replayer("graded_keys")
+@register_replayer("graded_keys", YES, NO)
 def _replay_graded_keys(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     same = graded_keys(graph, d["a"]) == graded_keys(graph, d["b"])
     return same if tri.is_yes else not same
 
 
-@register_replayer("graded_order")
+@register_replayer("graded_order", YES, NO)
 def _replay_graded_order(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     ka, kb = graded_keys(graph, d["a"]), graded_keys(graph, d["b"])
@@ -678,25 +674,25 @@ def _replay_graded_order(graph, tri: Tri) -> bool:
     return holds if tri.is_yes else not holds
 
 
-@register_replayer("skew_rewrite")
+@register_replayer("skew_rewrite", YES, NO)
 def _replay_skew(graph, tri: Tri) -> bool:
     inner = tri.certificate.data["inner"]
-    return replay(skew_product(graph), inner)
+    return inner.value == tri.value and replay(skew_product(graph), inner)
 
 
-@register_replayer("composite")
+@register_replayer("composite", NO)
 def _replay_composite(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     a = d["a"]
     return len(a.items) != 1 or a.items[0][1] != 1
 
 
-@register_replayer("graded_translation")
+@register_replayer("graded_translation", YES)
 def _replay_graded_translation(graph, tri: Tri) -> bool:
     return _graded(graph)
 
 
-@register_replayer("free_multiplicative")
+@register_replayer("free_multiplicative", YES)
 def _replay_free_mult(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     if graph.is_lazy or len(graph.vertices) != 1:
@@ -707,7 +703,7 @@ def _replay_free_mult(graph, tri: Tri) -> bool:
         and il.exponent_rank(counts) == graph.k
 
 
-@register_replayer("periodic_pair")
+@register_replayer("periodic_pair", NO)
 def _replay_periodic_pair(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     a, p = d["element"], tuple(d["period"])
@@ -716,7 +712,7 @@ def _replay_periodic_pair(graph, tri: Tri) -> bool:
     return t_equal(graph, a, act(p, a)).is_yes
 
 
-@register_replayer("atomic_closure")
+@register_replayer("atomic_closure", YES)
 def _replay_atomic_closure(graph, tri: Tri) -> bool:
     if graph.is_lazy or graph.has_sources():
         return False  # outside the closure criterion, as in is_atomic
@@ -727,7 +723,7 @@ def _replay_atomic_closure(graph, tri: Tri) -> bool:
     return set(closure) == set(graph.vertices)
 
 
-@register_replayer("not_atomic")
+@register_replayer("not_atomic", NO)
 def _replay_not_atomic(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     if graph.is_lazy or graph.has_sources() or d["missing"] not in graph.vertex_index:
@@ -744,12 +740,12 @@ def _sampled_leaf_count(graph, d) -> Optional[int]:
     return len(leaves(graph, sampled, d["leaf_depth"]))
 
 
-@register_replayer("no_atoms_sampled")
+@register_replayer("no_atoms_sampled", NO)
 def _replay_no_atoms(graph, tri: Tri) -> bool:
     return _sampled_leaf_count(graph, tri.certificate.data) == 0
 
 
-@register_replayer("all_leaves_sampled")
+@register_replayer("all_leaves_sampled", YES)
 def _replay_all_leaves(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     return _sampled_leaf_count(graph, d) == d["n_sampled"]

@@ -22,7 +22,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .intlinalg import lattice_member
 from .kgraph import GraphLike, bfs
-from .tri import Certificate, Tri, no, register_replayer, unknown, yes
+from .tri import NO, YES, Certificate, Tri, no, register_replayer, unknown, yes
 
 Gen = Hashable
 StepLabel = Tuple[int, Gen, int]  # (direction +1/-1, generator, color)
@@ -135,7 +135,7 @@ def successors(graph: GraphLike, elem: FreeElement) -> List[Tuple[FreeElement, S
 
 def _predecessor_candidates(graph: GraphLike, elem: FreeElement) -> List[Tuple[Gen, int]]:
     if not graph.is_lazy:
-        return [(v, i) for v in graph.vertex_ids() for i in range(graph.k)]
+        return [(v, i) for v in graph.vertices for i in range(graph.k)]
     if not graph.supports_in_edges:
         return []
     cands = set()
@@ -165,8 +165,7 @@ def _invariant_separates(graph, a: FreeElement, b: FreeElement) -> bool:
     (finite graphs)?  Each step changes the coefficient vector by a relation
     vector, so then a and b are never congruent.  ValueError for a
     generator the graph lacks."""
-    verts = list(graph.vertex_ids())
-    idx = {v: i for i, v in enumerate(verts)}
+    verts, idx = graph.vertices, graph.vertex_index
     for g in a.support() + b.support():
         if g not in idx:
             raise ValueError(f"{g!r} is not a vertex of the graph")
@@ -277,20 +276,20 @@ def apply_chain(graph: GraphLike, start: FreeElement,
 # certificate replay
 
 
-@register_replayer("rewrite_chain")
+@register_replayer("rewrite_chain", YES)
 def _replay_chain(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     end = apply_chain(graph, d["start"], d["steps"])
     return end == d["end"]
 
 
-@register_replayer("zero_class")
+@register_replayer("zero_class", NO)
 def _replay_zero(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     return d["left"].is_zero() != d["right"].is_zero()
 
 
-@register_replayer("component_separation")
+@register_replayer("component_separation", NO)
 def _replay_component(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     closed = d["left"] if d["closed_side"] == "left" else d["right"]
@@ -303,7 +302,7 @@ def _replay_component(graph, tri: Tri) -> bool:
     return True
 
 
-@register_replayer("integer_invariant")
+@register_replayer("integer_invariant", NO)
 def _replay_invariant(graph, tri: Tri) -> bool:
     d = tri.certificate.data
-    return _invariant_separates(graph, d["left"], d["right"])
+    return not graph.is_lazy and _invariant_separates(graph, d["left"], d["right"])

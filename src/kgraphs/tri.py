@@ -10,7 +10,7 @@ that emit them and are registered here by kind.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
 YES = "yes"
 NO = "no"
@@ -70,13 +70,15 @@ def unknown(note: str = "") -> Tri:
     return Tri(UNKNOWN, None, note)
 
 
-# kind -> replay function (graph, certificate, data) -> bool
-_REPLAYERS: Dict[str, Callable] = {}
+# kind -> (replay function (graph, tri) -> bool, the verdicts it certifies)
+_REPLAYERS: Dict[str, Tuple[Callable, FrozenSet[str]]] = {}
 
 
-def register_replayer(kind: str):
+def register_replayer(kind: str, *verdicts: str):
+    """Register the replay of ``kind``, which certifies only ``verdicts``
+    (YES, NO or both); under any other verdict the kind is rejected."""
     def deco(fn):
-        _REPLAYERS[kind] = fn
+        _REPLAYERS[kind] = fn, frozenset(verdicts)
         return fn
 
     return deco
@@ -87,18 +89,19 @@ def replay(graph, tri: Tri) -> bool:
 
     Returns True when the certificate checks out.  Unknown verdicts have
     nothing to replay and always pass.  A yes/no verdict without a
-    certificate, or with an unregistered kind, fails replay, and so does one
-    whose data the graph cannot take (a level below an offset, a degree of
-    the wrong length or sign): the procedures that replayers call raise
-    ValueError on such input, and a tampered certificate is a rejection,
-    not a crash.
+    certificate, with an unregistered kind, or with a kind that does not
+    certify that verdict fails replay, and so does one whose data the graph
+    cannot take (a level below an offset, a degree of the wrong length or
+    sign, a structure past its size cap): the procedures that replayers call
+    raise ValueError on such input, and a tampered certificate is a
+    rejection, not a crash.
     """
     if tri.is_unknown:
         return True
     if tri.certificate is None:
         return False
-    fn = _REPLAYERS.get(tri.certificate.kind)
-    if fn is None:
+    fn, verdicts = _REPLAYERS.get(tri.certificate.kind, (None, ()))
+    if tri.value not in verdicts:
         return False
     try:
         return bool(fn(graph, tri))

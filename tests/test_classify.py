@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 from itertools import islice
 
@@ -12,7 +14,9 @@ from kgraphs.classify import (count_line_point_classes, is_aperiodic,
 from kgraphs.kgraph import walk
 from kgraphs.lattice import hereditary_closure
 from kgraphs.monoid import DEFAULT_BOUNDS
-from kgraphs.tri import Certificate, no, replay, yes
+from kgraphs.tri import Certificate, Tri, no, replay, yes
+
+QUICK = replace(DEFAULT_BOUNDS, period_radius=1, support=1, rewrite=2, node_cap=50)
 
 
 def verdicts(report):
@@ -126,6 +130,10 @@ def test_forged_conjunction_needs_both_parts(cycle4):
     assert not replay(cycle4, yes(Certificate("conjunction", {"parts": ()})))
 
 
+def test_forged_proper_hs_on_a_lazy_graph_is_rejected(grid2):
+    assert not replay(grid2, no(Certificate("proper_hs", {"h": ((0, 0),)})))
+
+
 def test_forged_quotients_aperiodic_needs_every_quotient(cycle4):
     assert not replay(cycle4, yes(Certificate("quotients_aperiodic", {"parts": ()})))
 
@@ -159,15 +167,14 @@ def test_cofinality_is_decided_past_the_lattice_limit():
     cofinal = is_cofinal(g)
     assert cofinal.is_yes and cofinal.certificate.kind == "trivial_lattice"
     assert replay(g, cofinal)
-    quick = replace(DEFAULT_BOUNDS, period_radius=1, support=1, rewrite=2, node_cap=50)
-    r = kp_report(g, quick)
+    r = kp_report(g, QUICK)
     assert r.cofinal.is_yes and r.lattice is None
     strong = is_strongly_aperiodic(g, DEFAULT_BOUNDS)
     assert strong.is_unknown and "20-vertex lattice limit" in strong.note
 
 
 # ---------------------------------------------------------------------------
-# one report computes each shared fact once
+# structure kept on the graph, shared by reports, direct calls and replays
 
 
 def _count_calls(monkeypatch, name, *modules):
@@ -183,13 +190,44 @@ def _count_calls(monkeypatch, name, *modules):
     return calls
 
 
+class CountingStore(dict):
+    """A graph store that records the name of each entry it computes."""
+
+    def __init__(self):
+        super().__init__()
+        self.computed = []
+
+    def __setitem__(self, key, value):
+        self.computed.append(key[0].__name__)
+        super().__setitem__(key, value)
+
+
+def _report_and_replays(g, bounds=DEFAULT_BOUNDS):
+    r = kp_report(g, bounds)
+    for name, tri in r.verdicts().items():
+        assert replay(g, tri), (g.name, name)
+    return r
+
+
+@pytest.mark.parametrize("family, fact", [
+    ("grid2", "leaves"), ("delta2", "leaves"), ("bratteli", "leaves"),
+    ("cycle4", "all_hs_subsets"), ("fan3", "find_periodic_element")])
+def test_report_and_replays_compute_each_structure_once(family, fact):
+    g = families.FAMILIES[family]()
+    store = g._store = CountingStore()
+    _report_and_replays(g)
+    assert store.computed.count(fact) == 1
+
+
 def test_report_tests_each_leaf_once(monkeypatch, grid2):
-    analyses = _count_calls(monkeypatch, "leaves", kgraph, monoid)
     singles = _count_calls(monkeypatch, "is_leaf", kgraph, monoid, classify)
+    store = grid2._store = CountingStore()
     kp_report(grid2, DEFAULT_BOUNDS)
     sampled = grid2.sample_vertices(DEFAULT_BOUNDS.sample_depth)
     # one leaf analysis of the whole window, and no walk per vertex
-    assert [(g, list(verts)) for g, verts, *_ in analyses] == [(grid2, sampled)]
+    assert store.computed.count("leaves") == 1
+    assert [key[1:] for key in store if key[0].__name__ == "leaves"] == \
+        [(tuple(sampled), DEFAULT_BOUNDS.leaf_depth)]
     assert singles == []
 
 
@@ -200,17 +238,11 @@ def test_report_runs_one_periodic_search(monkeypatch, fan3):
     assert r.aperiodic.is_unknown and r.periodic_witness is None
 
 
-def test_report_enumerates_lattice_once(monkeypatch, cycle4):
-    enumerations = []
-
-    def enumerate_lattice(graph, real=lattice.all_hs_subsets.__wrapped__):
-        enumerations.append(graph)
-        return real(graph)
-    shared = kgraph.shared_fact(enumerate_lattice)
-    for mod in (lattice, classify):
-        monkeypatch.setattr(mod, "all_hs_subsets", shared)
-    r = kp_report(cycle4, DEFAULT_BOUNDS)
-    assert enumerations == [cycle4]
+def test_report_enumerates_lattice_once(cycle4):
+    store = cycle4._store = CountingStore()
+    r = _report_and_replays(cycle4)
+    assert lattice.all_hs_subsets(cycle4) == [frozenset(), frozenset(cycle4.vertices)]
+    assert store.computed.count("all_hs_subsets") == 1
     assert r.lattice == [(), tuple(sorted(cycle4.vertices))]
 
 
@@ -244,22 +276,29 @@ def test_lattice_and_kernel_certificates_replay_apart(cycle4, looptail,
         assert not replay(loop_pair_tail, forged)
 
 
-def test_report_facts_do_not_outlive_the_call(monkeypatch, grid2):
-    calls = _count_calls(monkeypatch, "leaves", monoid)
+def test_report_structure_lives_with_the_graph(monkeypatch, grid2):
+    store = grid2._store = CountingStore()
     first = kp_report(grid2, DEFAULT_BOUNDS)
-    assert not hasattr(grid2, "_facts")
-    assert len(calls) == 1
+    assert store.computed.count("leaves") == 1
     second = kp_report(grid2, DEFAULT_BOUNDS)
-    assert len(calls) == 2  # recomputed, not read back
+    assert store.computed.count("leaves") == 1  # read back, not recomputed
     assert verdicts(first) == verdicts(second)
     assert first.atom_vertices == second.atom_vertices
+    assert first.atom_vertices is not second.atom_vertices
+    assert families.grid(2)._store == {}  # another graph object, its own store
 
     def broken(graph):
         raise RuntimeError("classifier failed")
     monkeypatch.setattr(classify, "is_cofinal", broken)
     with pytest.raises(RuntimeError):
         kp_report(grid2, DEFAULT_BOUNDS)
-    assert not hasattr(grid2, "_facts")
+    monkeypatch.undo()
+    kept = dict(store)
+    with pytest.raises(ValueError):  # a call that raises keeps nothing
+        lattice.all_hs_subsets(grid2)
+    assert store == kept
+    assert verdicts(kp_report(grid2, DEFAULT_BOUNDS)) == verdicts(first)
+    assert store.computed.count("leaves") == 1
 
 
 def test_bounded_certificates_replay_at_their_own_depths(branching_chain):
@@ -292,15 +331,55 @@ def test_socle_essential_without_line_points_does_not_walk(monkeypatch, bratteli
 
 
 def test_fact_key_ignores_how_bounds_are_passed(cycle4):
-    cycle4._facts = {}
-    try:
-        first = monoid.atoms(cycle4)
-        assert monoid.atoms(cycle4, DEFAULT_BOUNDS) is first
-        assert monoid.atoms(cycle4, bounds=DEFAULT_BOUNDS) is first
-        assert len(cycle4._facts) == 1
-    finally:
-        del cycle4._facts
-    assert monoid.atoms(cycle4) is not first  # no memo outside a report
+    def entries(name):
+        return [key for key in cycle4._store if key[0].__name__ == name]
+    first = monoid.find_periodic_element(cycle4)
+    assert monoid.find_periodic_element(cycle4, DEFAULT_BOUNDS) is first
+    assert monoid.find_periodic_element(cycle4, bounds=DEFAULT_BOUNDS) is first
+    assert len(entries("find_periodic_element")) == 1
+    atoms = monoid.atoms(cycle4)
+    assert monoid.atoms(cycle4, DEFAULT_BOUNDS) == atoms
+    assert monoid.atoms(cycle4, bounds=DEFAULT_BOUNDS) is not atoms  # a fresh list
+    verts = cycle4.sample_vertices(DEFAULT_BOUNDS.sample_depth)
+    assert kgraph.leaves(cycle4, tuple(verts), DEFAULT_BOUNDS.leaf_depth) == atoms
+    assert len(entries("leaves")) == 1  # a list argument is keyed as a tuple
+    monoid.find_periodic_element(cycle4, replace(DEFAULT_BOUNDS, support=1))
+    assert len(entries("find_periodic_element")) == 2
+
+
+def test_direct_calls_after_a_report_agree_with_it(cycle4, grid2, arrow):
+    for g in (cycle4, grid2, arrow):
+        r = kp_report(g, DEFAULT_BOUNDS)
+        assert verdicts(kp_report(g, DEFAULT_BOUNDS)) == verdicts(r)
+        assert monoid.atoms(g, DEFAULT_BOUNDS) == r.atom_vertices
+        assert line_points(g, DEFAULT_BOUNDS) == r.line_points
+        assert monoid.is_atomic(g, DEFAULT_BOUNDS) == r.atomic
+        assert monoid.acts_freely(g, DEFAULT_BOUNDS) == r.free_action
+        assert is_semisimple(g, DEFAULT_BOUNDS) == r.semisimple
+
+
+def test_store_keeps_structure_never_a_verdict():
+    def holds_a_verdict(x):
+        if isinstance(x, Tri):
+            return True
+        if isinstance(x, dict):
+            return any(map(holds_a_verdict, (*x.keys(), *x.values())))
+        if isinstance(x, (tuple, list, set, frozenset)):
+            return any(map(holds_a_verdict, x))
+        return hasattr(x, "__dict__") and holds_a_verdict(vars(x))
+    for name, make in families.FAMILIES.items():
+        g = make()
+        _report_and_replays(g, QUICK if name == "finite-grid-2x2" else DEFAULT_BOUNDS)
+        assert g._store, name
+        assert not any(map(holds_a_verdict, g._store.values())), name
+        # no kept value refers back to the graph: released, it is freed at once
+        ref = weakref.ref(g)
+        gc.disable()
+        try:
+            del g
+            assert ref() is None, name
+        finally:
+            gc.enable()
 
 
 def test_atomic_report_keeps_its_leaf_list(loop_pair_tail):

@@ -125,6 +125,21 @@ def test_tampered_level_certificates_are_rejected(cycle4, kind, tamper):
         assert replay(cycle4, verdict) is False
 
 
+@pytest.mark.parametrize("kind", LEVEL_KINDS)
+def test_level_certificates_are_rejected_off_their_engine(fan3, grid2, kind):
+    # on fan3 a push kills both u and v at level (0, 0, 1), so equal level
+    # vectors there prove nothing (t_equal certifies u(0) != v(0)); a lazy
+    # graph has no level vectors at all
+    u, v = gen("u", (0, 0, 0)), gen("v", (0, 0, 0))
+    assert t_equal(fan3, u, v).is_no
+    on_fan3 = {"a": u, "b": v, "level": (0, 0, 1), "m": (0, 0, 0)}
+    on_grid2 = {"a": gen((0, 0), (0, 0)), "b": gen((1, 0), (1, 0)), "level": (1, 1),
+                "m": (0, 0)}
+    for g, data in ((fan3, on_fan3), (grid2, on_grid2)):
+        forged = Certificate(kind, data)
+        assert not replay(g, yes(forged)) and not replay(g, no(forged)), g.name
+
+
 def test_t_equal_graded_keys(grid2):
     a = gen((0, 0), (1, 1))
     b = gen((1, 1), (2, 2))

@@ -91,6 +91,14 @@ def test_integer_invariant_rejects_unknown_generator(loop_pair_tail):
     assert not replay(loop_pair_tail, forged)
 
 
+def test_integer_invariant_is_rejected_on_a_lazy_graph(grid2):
+    # the relation lattice is a finite-graph invariant; congruent never uses
+    # it on a lazy graph, so a certificate naming one is forged
+    forged = no(Certificate("integer_invariant",
+                            {"left": FreeElement.single((0, 0)), "right": F((1, 0), (1, 0))}))
+    assert not replay(grid2, forged)
+
+
 def test_reachable_bounded(loop_pair_tail):
     traces, complete = reachable(loop_pair_tail, F("v"), bound=3, node_cap=100)
     assert F("v") in traces
