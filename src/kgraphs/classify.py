@@ -239,7 +239,7 @@ CERTIFYING_KINDS = {
     "cofinal": {"trivial_lattice", "proper_hs"},
     "aperiodic": {"free_action", "periodic_atom"},
     "atomic": {"atomic_closure", "not_atomic", "all_leaves_sampled", "no_atoms_sampled"},
-    "freeAction": {"graded_translation", "free_multiplicative", "periodic_pair"},
+    "freeAction": {"graded_translation", "free_multiplicative", "free_trace", "periodic_pair"},
 }
 
 

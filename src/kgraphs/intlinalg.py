@@ -10,7 +10,7 @@ vertex j.  The module owns:
 - products: ``identity``, ``vecmat``, ``matmul``, and for boolean supports
   ``support`` and ``bool_vecmat``;
 - ``rank`` over Q by fraction-free (Bareiss) elimination and a primitive
-  integer ``kernel_vector``;
+  integer ``kernel_vector`` by fraction-free Gauss-Jordan elimination;
 - prime-exponent vectors: trial-division ``factorize``, ``exponent_matrix``
   and ``exponent_rank``;
 - ``lattice_member``, membership in the sublattice of Z^m spanned by a list
@@ -19,8 +19,7 @@ vertex j.  The module owns:
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -131,11 +130,14 @@ def rank(a: Sequence[Sequence[int]]) -> int:
 def kernel_vector(a: Sequence[Sequence[int]]) -> Optional[Vector]:
     """A primitive integer z != 0 with a z = 0, or None when a is injective.
 
-    Reduced row echelon form over Q; the first free column is set to 1 and
-    the solution scaled by the least common denominator.  Meant for small
-    matrices: entries grow as rationals.
+    Fraction-free Gauss-Jordan elimination: each step replaces a row by an
+    integer combination of it and the pivot row that clears the pivot
+    column, divided by the gcd of its entries, so no rationals appear.  z
+    is the kernel vector with the first free column positive and every
+    other free column 0; each pivot row r then reads
+    p_r z[c_r] + row_r[free] z[free] = 0.
     """
-    rows = [[Fraction(x) for x in r] for r in a]
+    rows = [_primitive(r) for r in a]
     ncols = len(rows[0]) if rows else 0
     pivots: List[int] = []
     for c in range(ncols):
@@ -144,21 +146,27 @@ def kernel_vector(a: Sequence[Sequence[int]]) -> Optional[Vector]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                q = rows[i][c]
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+        top, p = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            q = row[c]
+            if i != r and q:
+                g = gcd(p, q)
+                rows[i] = _primitive([(p // g) * x - (q // g) * y for x, y in zip(row, top)])
         pivots.append(c)
     free = next((c for c in range(ncols) if c not in pivots), None)
     if free is None:
         return None
-    z = [Fraction(0)] * ncols
-    z[free] = Fraction(1)
+    z = [0] * ncols
+    z[free] = lcm(*(rows[r][c] for r, c in enumerate(pivots)))
     for r, c in enumerate(pivots):
-        z[c] = -rows[r][free]
-    denom = lcm(*(x.denominator for x in z))
-    return tuple(int(x * denom) for x in z)
+        z[c] = -rows[r][free] * z[free] // rows[r][c]
+    return tuple(_primitive(z))
+
+
+def _primitive(v: Sequence[int]) -> List[int]:
+    """v divided by the gcd of its entries (a zero vector stays zero)."""
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else list(v)
 
 
 def factorize(n: int) -> Dict[int, int]:

@@ -24,7 +24,7 @@ import functools
 import operator
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement, count, islice, permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import degrees as dg
@@ -535,15 +535,26 @@ def acts_freely(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     translation moves every key multiset; a single-vertex graph without
     sources is free exactly when all color multiplicities are at least 2
     and multiplicatively independent; an atomic finite graph is
-    never free because some leaf orbit revisits a vertex (pigeonhole);
-    otherwise a bounded periodic-element search can certify non-freeness.
+    never free because some leaf orbit revisits a vertex (pigeonhole); a
+    finite graph with sources is free when it has a graded trace
+    (:func:`graded_trace`); otherwise a bounded periodic-element search can
+    certify non-freeness.
     """
     k = graph.k
     if _graded(graph):
         return yes(Certificate("graded_translation", {}),
                    note="finite key multisets admit no nonzero translation symmetry")
 
-    if not graph.is_lazy and not graph.has_sources():
+    tried = ""
+    if not graph.is_lazy and graph.has_sources():
+        trace = graded_trace(graph)
+        if trace is not None:
+            lam, phi = trace
+            return yes(Certificate("free_trace", {"lam": lam, "phi": phi}),
+                       note=f"the graded trace phi(v) * lam^n, lam = {lam}, is positive "
+                            "and a shift by p scales it by lam^p")
+        tried = f"no graded trace with lam a permutation of the first {k} primes, and "
+    elif not graph.is_lazy:
         if len(graph.vertices) == 1:
             v = graph.vertices[0]
             counts = [len(graph.out_edges(v, i)) for i in range(k)]
@@ -565,8 +576,45 @@ def acts_freely(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     if found is not None:
         a, p = found
         return no(Certificate("periodic_pair", {"element": a, "period": p}))
-    return unknown(f"no periodic element among the first {PERIODIC_BUDGET} "
+    return unknown(f"{tried}no periodic element among the first {PERIODIC_BUDGET} "
                    "candidates of the bounded search box (monoid.PERIODIC_BUDGET)")
+
+
+@graph_fact
+def graded_trace(graph) -> Optional[Tuple[Vec, Vec]]:
+    """(lam, phi): a trace tau(v(n)) = phi[v] * lam^n on the monoid of a
+    finite graph, phi > 0 indexed by ``graph.vertices`` and lam a
+    permutation of the first k primes; None when no permutation has one.
+
+    tau respects the relation v(n) = sum_e s(e)(n + e_i) exactly when
+    phi(v) = lam_i * sum_e phi(s(e)) for every color i in which v has
+    edges, so phi lies in the kernel of the rows e_v - lam_i A_i[v].  Then
+    tau is additive on T_Lambda and tau(act(p, a)) = lam^p tau(a).  If
+    a != 0 and act(p, a) = a, then tau(a) > 0 forces lam^p = 1, and p = 0
+    because the entries of lam are multiplicatively independent: the
+    action is free.
+
+    Only graphs with sources can have one.  Without sources every vertex
+    has edges in every color, so A_i phi = phi / lam_i with phi > 0; then
+    1 / lam_i is a rational eigenvalue of an integer matrix, hence an
+    integer, which no lam_i >= 2 is.
+    """
+    primes = tuple(islice((p for p in count(2) if il.factorize(p) == {p: 1}), graph.k))
+    for lam in permutations(primes):
+        phi = il.kernel_vector(_trace_rows(graph, lam))
+        if phi is not None and all(x < 0 for x in phi):
+            phi = dg.neg(phi)
+        if phi is not None and all(x > 0 for x in phi):
+            return lam, phi
+    return None
+
+
+def _trace_rows(graph, lam: Sequence[int]) -> List[il.Vector]:
+    """The rows e_v - lam_i A_i[v], one per color i and vertex v with
+    color-i edges: phi is a trace for lam exactly when each row kills it."""
+    return [tuple(int(j == v) - lam_i * x for j, x in enumerate(row))
+            for i, lam_i in enumerate(lam)
+            for v, row in enumerate(graph.color_matrix(i)) if any(row)]
 
 
 @graph_fact
@@ -703,6 +751,20 @@ def _replay_free_mult(graph, tri: Tri) -> bool:
         and il.exponent_rank(counts) == graph.k
 
 
+@register_replayer("free_trace", YES)
+def _replay_free_trace(graph, tri: Tri) -> bool:
+    """Check the trace identities of :func:`graded_trace` once; no search."""
+    d = tri.certificate.data
+    lam, phi = tuple(d["lam"]), tuple(d["phi"])
+    if graph.is_lazy or len(lam) != graph.k or len(phi) != len(graph.vertices):
+        return False
+    if not all(isinstance(x, int) and x >= 2 for x in lam) or il.exponent_rank(lam) != graph.k:
+        return False
+    if not all(isinstance(x, int) and x > 0 for x in phi):
+        return False
+    return not any(sum(map(operator.mul, row, phi)) for row in _trace_rows(graph, lam))
+
+
 @register_replayer("periodic_pair", NO)
 def _replay_periodic_pair(graph, tri: Tri) -> bool:
     d = tri.certificate.data
@@ -717,8 +779,8 @@ def _replay_atomic_closure(graph, tri: Tri) -> bool:
     if graph.is_lazy or graph.has_sources():
         return False  # outside the closure criterion, as in is_atomic
     claimed = tri.certificate.data["leaves"]
-    if len(leaves(graph, claimed)) != len(claimed):
-        return False
+    if not set(claimed) <= set(atoms(graph)):
+        return False  # read from the graph's one kept leaf analysis
     closure = saturated_hereditary_closure(graph, claimed)
     return set(closure) == set(graph.vertices)
 

@@ -1,8 +1,11 @@
 """Helpers only the tests use: a bounded forward rewriting closure, common
-reducts built on it, and the disjoint union of two finite graphs."""
+reducts built on it, the disjoint union of two finite graphs, and seeded
+pullbacks with sources."""
 
+import random
 from typing import Dict, List, Tuple
 
+from kgraphs import families
 from kgraphs.kgraph import Edge, KGraph, Square
 from kgraphs.rewrite import DEFAULT_NODE_CAP, FreeElement, StepLabel, successors
 
@@ -63,3 +66,18 @@ def disjoint_union(a: KGraph, b: KGraph, tags: Tuple[str, str] = ("L", "R")) -> 
     va, ea, sa = remap(a, tags[0])
     vb, eb, sb = remap(b, tags[1])
     return KGraph(a.k, va + vb, ea + eb, sa + sb, name=f"{a.name}+{b.name}")
+
+
+def sink_pullbacks(count: int = 8) -> List[KGraph]:
+    """Pullbacks of seeded digraphs on 5 to 12 vertices in which one or two
+    vertices emit no arrow, so the rank-2 graphs have sources."""
+    graphs = []
+    for i in range(count):
+        n = 5 + i % 8
+        rng = random.Random(105 + i)
+        verts = [f"v{j}" for j in range(n)]
+        sinks = set(rng.sample(verts, 1 + n % 2))
+        arrows = [(f"a{j}.{r}", v, rng.choice(verts))
+                  for j, v in enumerate(verts) if v not in sinks for r in range(1 + j % 2)]
+        graphs.append(families.pullback_2graph(verts, arrows, name=f"pullback{n}-sinks#{i}"))
+    return graphs

@@ -2,7 +2,6 @@
 and replay rejects a certificate under any other verdict."""
 
 import ast
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,6 @@ from kgraphs.monoid import DEFAULT_BOUNDS, TElement, t_equal, t_leq
 from kgraphs.tri import NO, YES, Certificate, Tri, no, replay, yes
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kgraphs"
-QUICK = replace(DEFAULT_BOUNDS, period_radius=1, support=1, rewrite=2, node_cap=50)
 
 
 def _first_string(call: ast.Call):
@@ -58,7 +56,7 @@ def flipped(t: Tri) -> Tri:
 @pytest.mark.parametrize("family", sorted(families.FAMILIES))
 def test_flipped_report_verdicts_do_not_replay(family):
     g = families.FAMILIES[family]()
-    r = kp_report(g, QUICK if family == "finite-grid-2x2" else DEFAULT_BOUNDS)
+    r = kp_report(g, DEFAULT_BOUNDS)
     decided = {name: t for name, t in r.verdicts().items() if not t.is_unknown}
     assert decided, family
     for name, t in decided.items():

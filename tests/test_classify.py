@@ -1,7 +1,7 @@
 import gc
 import weakref
 from dataclasses import replace
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 
@@ -15,8 +15,6 @@ from kgraphs.kgraph import walk
 from kgraphs.lattice import hereditary_closure
 from kgraphs.monoid import DEFAULT_BOUNDS
 from kgraphs.tri import Certificate, Tri, no, replay, yes
-
-QUICK = replace(DEFAULT_BOUNDS, period_radius=1, support=1, rewrite=2, node_cap=50)
 
 
 def verdicts(report):
@@ -167,7 +165,7 @@ def test_cofinality_is_decided_past_the_lattice_limit():
     cofinal = is_cofinal(g)
     assert cofinal.is_yes and cofinal.certificate.kind == "trivial_lattice"
     assert replay(g, cofinal)
-    r = kp_report(g, QUICK)
+    r = kp_report(g, DEFAULT_BOUNDS)
     assert r.cofinal.is_yes and r.lattice is None
     strong = is_strongly_aperiodic(g, DEFAULT_BOUNDS)
     assert strong.is_unknown and "20-vertex lattice limit" in strong.note
@@ -211,7 +209,7 @@ def _report_and_replays(g, bounds=DEFAULT_BOUNDS):
 
 @pytest.mark.parametrize("family, fact", [
     ("grid2", "leaves"), ("delta2", "leaves"), ("bratteli", "leaves"),
-    ("cycle4", "all_hs_subsets"), ("fan3", "find_periodic_element")])
+    ("cycle4", "all_hs_subsets"), ("arrow", "find_periodic_element")])
 def test_report_and_replays_compute_each_structure_once(family, fact):
     g = families.FAMILIES[family]()
     store = g._store = CountingStore()
@@ -231,11 +229,36 @@ def test_report_tests_each_leaf_once(monkeypatch, grid2):
     assert singles == []
 
 
-def test_report_runs_one_periodic_search(monkeypatch, fan3):
+def test_report_runs_one_periodic_search(monkeypatch, arrow):
+    # arrow has sources and no graded trace, so the search still runs
     calls = _count_calls(monkeypatch, "t_equal", monoid, classify)
-    r = kp_report(fan3, DEFAULT_BOUNDS)
-    assert 0 < len(calls) <= 2000  # one search's budget on a graph with sources
+    store = arrow._store = CountingStore()
+    r = kp_report(arrow, DEFAULT_BOUNDS)
+    assert 0 < len(calls) <= monoid.PERIODIC_BUDGET
+    assert store.computed.count("find_periodic_element") == 1
+    assert r.free_action.is_no and r.periodic_witness is not None
+    assert r.aperiodic.is_unknown
+
+
+def test_fan3_report_certifies_freeness_by_a_trace(fan3):
+    store = fan3._store = CountingStore()
+    r = _report_and_replays(fan3)
+    assert store.computed.count("find_periodic_element") == 0
+    assert store.computed.count("graded_trace") == 1
+    assert r.free_action.is_yes and r.free_action.certificate.kind == "free_trace"
+    # aperiodicity stays withheld on a graph with sources
     assert r.aperiodic.is_unknown and r.periodic_witness is None
+
+
+def test_atomic_closure_replays_add_no_store_entry(cycle4):
+    r = _report_and_replays(cycle4)
+    assert r.atomic.is_yes and r.atomic.certificate.kind == "atomic_closure"
+    before = len(cycle4._store)
+    lists = [list(p) for n in range(1, 5) for p in permutations(cycle4.vertices, n)]
+    assert len(lists) == 64
+    for claimed in lists:
+        replay(cycle4, yes(Certificate("atomic_closure", {"leaves": claimed})))
+    assert len(cycle4._store) == before
 
 
 def test_report_enumerates_lattice_once(cycle4):
@@ -369,7 +392,7 @@ def test_store_keeps_structure_never_a_verdict():
         return hasattr(x, "__dict__") and holds_a_verdict(vars(x))
     for name, make in families.FAMILIES.items():
         g = make()
-        _report_and_replays(g, QUICK if name == "finite-grid-2x2" else DEFAULT_BOUNDS)
+        _report_and_replays(g)
         assert g._store, name
         assert not any(map(holds_a_verdict, g._store.values())), name
         # no kept value refers back to the graph: released, it is freed at once

@@ -2,7 +2,8 @@ import os
 import subprocess
 import sys
 from itertools import product
-from math import lcm, prod
+from fractions import Fraction
+from math import gcd, lcm, prod
 
 import sympy
 from hypothesis import example, given, settings
@@ -117,6 +118,53 @@ def test_rank_and_kernel_match_sympy(rows):
     want = null[0] * lcm(*(int(x.q) for x in null[0]))
     assert list(z) == [int(x) for x in want]
     assert all(sum(a * b for a, b in zip(row, z)) == 0 for row in rows)
+
+
+def fraction_kernel_vector(a):
+    """Reference: reduced row echelon form over Q, the first free column
+    set to 1 and the solution cleared of denominators."""
+    rows = [[Fraction(x) for x in r] for r in a]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                q = rows[i][c]
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    free = next((c for c in range(ncols) if c not in pivots), None)
+    if free is None:
+        return None
+    z = [Fraction(0)] * ncols
+    z[free] = Fraction(1)
+    for r, c in enumerate(pivots):
+        z[c] = -rows[r][free]
+    denom = lcm(*(x.denominator for x in z))
+    return tuple(int(x * denom) for x in z)
+
+
+wider_matrix = st.integers(1, 7).flatmap(lambda cols: st.lists(
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5, 7, 30]), min_size=cols, max_size=cols),
+    min_size=1, max_size=7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wider_matrix)
+@example([[1, -2, 0, -2], [1, -3, -3, 0], [1, 0, 0, -5]])  # fan3's trace rows, up to sign
+def test_kernel_vector_matches_fraction_elimination(rows):
+    z, ref = kernel_vector(rows), fraction_kernel_vector(rows)
+    if ref is None:
+        assert z is None
+        return
+    # both fix the first free column and zero the others, so they agree up
+    # to scaling; primitive with that column positive, they agree exactly
+    assert z == ref and gcd(*z) == 1
 
 
 @settings(max_examples=200, deadline=None)

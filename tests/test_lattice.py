@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import disjoint_union
+from helpers import disjoint_union, sink_pullbacks
 from kgraphs import families
 from kgraphs import intlinalg as il
 from kgraphs.classify import is_cofinal
@@ -49,20 +49,6 @@ def push_search_membership(graph, a, h):
         return (il.bool_vecmat(state, gen) for gen in gens
                 if all(r for j, r in enumerate(gen) if state >> j & 1))
     return any(not state & ~hmask for state in bfs([row], expand, None))
-
-
-def sink_pullbacks():
-    """Pullbacks of seeded digraphs on 5 to 12 vertices in which one or two
-    vertices emit no arrow, so the rank-2 graphs have sources."""
-    graphs = []
-    for n in range(5, 13):
-        rng = random.Random(100 + n)
-        verts = [f"v{i}" for i in range(n)]
-        sinks = set(rng.sample(verts, 1 + n % 2))
-        arrows = [(f"a{i}.{j}", v, rng.choice(verts))
-                  for i, v in enumerate(verts) if v not in sinks for j in range(1 + i % 2)]
-        graphs.append(families.pullback_2graph(verts, arrows, name=f"pullback{n}-sinks"))
-    return graphs
 
 
 def sample_elements(graph, rng):

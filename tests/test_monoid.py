@@ -1,14 +1,18 @@
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
+from helpers import sink_pullbacks
 from kgraphs import families
 from kgraphs import intlinalg as il
-from kgraphs.monoid import (Bounds, DEFAULT_BOUNDS, TElement, _equalizer_exponents,
-                            act, acts_freely, atoms, common_level,
-                            factor_into_atoms, find_periodic_element, forget,
-                            graded_keys, is_atom, is_atomic, m_congruent,
+from kgraphs.kgraph import Edge, KGraph
+from kgraphs.monoid import (PERIODIC_BUDGET, Bounds, DEFAULT_BOUNDS, TElement,
+                            _equalizer_exponents, act, acts_freely, atoms,
+                            common_level, factor_into_atoms,
+                            find_periodic_element, forget, graded_keys,
+                            graded_trace, is_atom, is_atomic, m_congruent,
                             push_to_level, t_equal, t_equal_rewrite, t_leq)
 from kgraphs.tri import Certificate, no, replay, yes
 
@@ -257,6 +261,13 @@ def test_forged_atomic_closure_on_a_lazy_graph_is_rejected(grid2):
     assert not replay(grid2, yes(Certificate("atomic_closure", {"leaves": leaves})))
 
 
+def test_forged_atomic_closure_needs_the_graphs_leaves(cycle4, one_vertex_3x2):
+    assert not replay(cycle4, yes(Certificate("atomic_closure", {"leaves": ["u", "zz"]})))
+    # v is no leaf, though its closure is the whole graph
+    assert atoms(one_vertex_3x2) == []
+    assert not replay(one_vertex_3x2, yes(Certificate("atomic_closure", {"leaves": ["v"]})))
+
+
 def test_bratteli_no_atoms(bratteli):
     tri = is_atomic(bratteli, DEFAULT_BOUNDS)
     assert tri.is_no
@@ -299,3 +310,91 @@ def test_bratteli_periodic_witness(bratteli):
     a, p = found
     assert p == (0, 1)
     assert t_equal(bratteli, act(p, a), a).is_yes
+
+
+# ---------------------------------------------------------------------------
+# graded traces on finite graphs with sources
+
+# small enough that the periodic search on the 4x4 grid stays quick
+REDUCED = replace(DEFAULT_BOUNDS, period_radius=1, support=1, rewrite=2, node_cap=50)
+
+
+def finite_grids():
+    return [families.finite_grid(2, (m, n)) for m in range(1, 5) for n in range(1, 5)]
+
+
+def test_free_trace_on_fan3(fan3):
+    tri = acts_freely(fan3, DEFAULT_BOUNDS)
+    assert tri.is_yes and tri.certificate.kind == "free_trace"
+    assert tri.certificate.data == {"lam": (2, 3, 5), "phi": (6, 4, 9, 30)}
+    assert fan3.vertices == ("u", "v", "w", "x")
+    assert replay(fan3, tri)
+
+
+def test_free_trace_on_finite_grids():
+    for g in [families.FAMILIES["finite-grid-2x2"]()] + finite_grids():
+        tri = acts_freely(g, DEFAULT_BOUNDS)
+        assert tri.is_yes and tri.certificate.kind == "free_trace", g.name
+        assert tri.certificate.data["lam"] == (2, 3) and replay(g, tri), g.name
+
+
+def test_no_graph_has_a_trace_and_a_periodic_element():
+    with_sources = [make() for make in families.FAMILIES.values()]
+    with_sources = [g for g in with_sources if not g.is_lazy and g.has_sources()]
+    graphs = with_sources + sink_pullbacks(40) + finite_grids()
+    traced = periodic = 0
+    for g in graphs:
+        assert g.has_sources(), g.name
+        trace = graded_trace(g)
+        found = find_periodic_element(g, REDUCED)
+        assert trace is None or found is None, g.name
+        traced += trace is not None
+        periodic += found is not None
+    assert len(graphs) == 59 and traced == 18 and periodic == 41
+
+
+def test_graphs_without_sources_have_no_trace(skeleton_pullbacks):
+    # A_i phi = phi / lam_i would make 1 / lam_i an integer eigenvalue
+    graphs = [make() for make in families.FAMILIES.values()]
+    graphs = [g for g in graphs if not g.is_lazy and not g.has_sources()]
+    graphs += [families.random_2graph(s) for s in range(20)] + skeleton_pullbacks
+    for g in graphs:
+        assert not g.has_sources() and graded_trace(g) is None, g.name
+
+
+def test_unknown_freeness_names_both_routes():
+    # one vertex with two loops of the first color only: free, with a trace
+    # of lam_1 = 1/2, which no permutation of the first primes gives
+    g = KGraph(2, ["v"], [Edge("f1", 0, "v", "v"), Edge("f2", 0, "v", "v")], [])
+    tri = acts_freely(g, REDUCED)
+    assert tri.is_unknown
+    assert "no graded trace with lam a permutation of the first 2 primes" in tri.note
+    assert f"first {PERIODIC_BUDGET} candidates" in tri.note
+    assert "monoid.PERIODIC_BUDGET" in tri.note
+
+
+def _forged_trace(lam, phi):
+    return yes(Certificate("free_trace", {"lam": lam, "phi": phi}))
+
+
+@pytest.mark.parametrize("lam, phi", [
+    ((2, 2, 5), (2, 3, 3, 10)),     # a repeated prime: identities hold, lam is dependent
+    ((1, 3, 5), (3, 2, 12, 15)),    # lam_1 = 1: identities hold
+    ((2, 3, 5), (0, 0, 0, 0)),      # phi = 0 satisfies every identity
+    ((2, 3, 5), (6, 4, 0, 30)),
+    ((2, 3, 5), (6, 4, 9, 31)),     # off by one
+    ((2, 3, 5), (7, 4, 9, 30)),
+    ((2, 3, 5), (6, 4, 9)),         # wrong lengths
+    ((2, 3), (6, 4, 9, 30)),
+    ((2, 3, 5, 7), (6, 4, 9, 30)),
+    ((2.0, 3, 5), (6, 4, 9, 30)),   # not an int
+    ((3, 2, 5), (6, 4, 9, 30)),     # colors swapped
+])
+def test_tampered_free_trace_is_rejected(fan3, lam, phi):
+    assert replay(fan3, _forged_trace((2, 3, 5), (6, 4, 9, 30)))
+    assert not replay(fan3, _forged_trace(lam, phi))
+
+
+def test_free_trace_is_rejected_on_a_lazy_graph(grid2):
+    assert not replay(grid2, _forged_trace((2, 3), (1,)))
+    assert not replay(grid2, _forged_trace((2, 3), ()))
