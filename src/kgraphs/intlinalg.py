@@ -10,7 +10,7 @@ vertex j.  The module owns:
 - products: ``identity``, ``vecmat``, ``matmul``, and for boolean supports
   ``support`` and ``bool_vecmat``;
 - ``rank`` over Q by fraction-free (Bareiss) elimination and a primitive
-  integer ``kernel_vector`` by fraction-free Gauss-Jordan elimination;
+  integer ``kernel_basis`` by fraction-free Gauss-Jordan elimination;
 - prime-exponent vectors: trial-division ``factorize``, ``exponent_matrix``
   and ``exponent_rank``;
 - ``lattice_member``, membership in the sublattice of Z^m spanned by a list
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 Vector = Tuple[int, ...]
 Matrix = Tuple[Vector, ...]
@@ -127,18 +127,19 @@ def rank(a: Sequence[Sequence[int]]) -> int:
     return r
 
 
-def kernel_vector(a: Sequence[Sequence[int]]) -> Optional[Vector]:
-    """A primitive integer z != 0 with a z = 0, or None when a is injective.
+def kernel_basis(a: Sequence[Sequence[int]], ncols: int) -> List[Vector]:
+    """A basis over Q of the integer z with a z = 0, a with ``ncols`` columns
+    (no rows: all of Z^ncols), one primitive z per free column.
 
     Fraction-free Gauss-Jordan elimination: each step replaces a row by an
     integer combination of it and the pivot row that clears the pivot
-    column, divided by the gcd of its entries, so no rationals appear.  z
-    is the kernel vector with the first free column positive and every
-    other free column 0; each pivot row r then reads
-    p_r z[c_r] + row_r[free] z[free] = 0.
+    column, divided by the gcd of its entries, so no rationals appear.  The
+    vector of free column f has z[f] positive and every other free column
+    0; each pivot row r then reads p_r z[c_r] + row_r[f] z[f] = 0.
     """
     rows = [_primitive(r) for r in a]
-    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise ValueError(f"every row needs {ncols} entries")
     pivots: List[int] = []
     for c in range(ncols):
         r = len(pivots)
@@ -153,14 +154,15 @@ def kernel_vector(a: Sequence[Sequence[int]]) -> Optional[Vector]:
                 g = gcd(p, q)
                 rows[i] = _primitive([(p // g) * x - (q // g) * y for x, y in zip(row, top)])
         pivots.append(c)
-    free = next((c for c in range(ncols) if c not in pivots), None)
-    if free is None:
-        return None
-    z = [0] * ncols
-    z[free] = lcm(*(rows[r][c] for r, c in enumerate(pivots)))
-    for r, c in enumerate(pivots):
-        z[c] = -rows[r][free] * z[free] // rows[r][c]
-    return tuple(_primitive(z))
+    scale = lcm(*(rows[r][c] for r, c in enumerate(pivots)))
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        z = [0] * ncols
+        z[f] = scale
+        for r, c in enumerate(pivots):
+            z[c] = -rows[r][f] * scale // rows[r][c]
+        basis.append(tuple(_primitive(z)))
+    return basis
 
 
 def _primitive(v: Sequence[int]) -> List[int]:

@@ -13,18 +13,21 @@ some further push A_m equalizes their level vectors.  The decisive exponent
 m* = (|V|, ..., |V|) settles it: the difference of the level vectors is
 pushed through each color matrix |V| times, a nonzero result is a "no", and
 only a "yes" scans small exponents, m = 0 first, for the smallest
-equalizer.  Order scans the same exponents with <= in place of ==.  Graphs
-with sources and lazy graphs go to rewriting on the degree skew product
-(:func:`t_equal_rewrite`), unless a lazy family has graded keys.
+equalizer.  Order scans the same exponents with <= in place of ==.  On a
+finite graph with sources a kept trace tau(v(n)) = phi(v) * lam^n that
+tells the two apart is a "no" (:func:`separating_trace`); what no trace
+separates, and lazy graphs without graded keys, go to rewriting on the
+degree skew product (:func:`t_equal_rewrite`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement, count, islice, permutations
+from itertools import combinations_with_replacement, count, islice, permutations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import degrees as dg
@@ -140,9 +143,16 @@ def push_to_level(graph, a: TElement, t: Sequence[int]) -> il.Vector:
     for (v, n), c in a.items:
         if not dg.leq(n, t):
             raise ValueError(f"level {t} is below offset {n}")
-        row = graph.coord_matrix(dg.sub(t, n))[graph.vertex_index[v]]
+        row = graph.coord_matrix(dg.sub(t, n))[_position(graph, v)]
         x = tuple(p + c * q for p, q in zip(x, row))
     return x
+
+
+def _position(graph, v: VertexId) -> int:
+    """The index of v in ``graph.vertices``; ValueError if the graph lacks v."""
+    if v not in graph.vertex_index:
+        raise ValueError(f"{v!r} is not a vertex of the graph")
+    return graph.vertex_index[v]
 
 
 def common_level(a: TElement, b: TElement, k: int) -> Vec:
@@ -192,10 +202,6 @@ def _first_push(graph, x: il.Vector, y: il.Vector, holds, bound: int) -> Optiona
                  if _holds_at(graph, x, y, m, holds)), None)
 
 
-def _leq(x: il.Vector, y: il.Vector) -> bool:
-    return all(p <= q for p, q in zip(x, y))
-
-
 # ---------------------------------------------------------------------------
 # graded-key fast path for graded lazy families
 
@@ -227,9 +233,13 @@ def t_equal(graph, a: TElement, b: TElement, bounds: Bounds = DEFAULT_BOUNDS) ->
     """Decide equality of two elements of the graded monoid.
 
     Graded lazy families compare key multisets, finite graphs without
-    sources always get a verdict from the level engine, and every other
-    graph goes to the bounded skew rewriting of :func:`t_equal_rewrite`.
+    sources always get a verdict from the level engine, finite graphs with
+    sources try :func:`separating_trace` first, and the rest goes to the
+    skew rewriting of :func:`t_equal_rewrite`; ValueError names a foreign vertex.
     """
+    if not graph.is_lazy:
+        for (v, _), _ in a.items + b.items:
+            _position(graph, v)
     if a == b:
         return yes(Certificate("level_equal", {"a": a, "b": b, "level": None}))
     if a.is_zero() != b.is_zero():
@@ -238,9 +248,18 @@ def t_equal(graph, a: TElement, b: TElement, bounds: Bounds = DEFAULT_BOUNDS) ->
         ka, kb = graded_keys(graph, a), graded_keys(graph, b)
         cert = Certificate("graded_keys", {"a": a, "b": b})
         return yes(cert) if ka == kb else no(cert)
-    if not graph.is_lazy and not graph.has_sources():
+    if graph.is_lazy:
+        return t_equal_rewrite(graph, a, b, bounds)
+    if not graph.has_sources():
         return _t_equal_level(graph, a, b, bounds)
-    return t_equal_rewrite(graph, a, b, bounds)
+    sep = separating_trace(graph, a, b)
+    if sep is not None:
+        return no(Certificate("trace_separates", {"a": a, "b": b, "lam": sep[0], "phi": sep[1]}))
+    tri = t_equal_rewrite(graph, a, b, bounds)
+    if tri.is_unknown:
+        return unknown(f"no trace with each lam_i in {TRACE_LAMBDAS} separates them "
+                       f"(monoid.TRACE_LAMBDAS), and {tri.note}")
+    return tri
 
 
 def _t_equal_level(graph, a: TElement, b: TElement, bounds: Bounds) -> Tri:
@@ -306,7 +325,7 @@ def t_leq(graph, a: TElement, b: TElement, bounds: Bounds = DEFAULT_BOUNDS) -> T
     if graph.is_lazy or graph.has_sources():
         return unknown("order is only decided on finite graphs without sources")
     t, x, y = _level_vectors(graph, a, b)
-    m = _first_push(graph, x, y, _leq, bounds.push)
+    m = _first_push(graph, x, y, dg.leq, bounds.push)
     if m is None:
         return unknown(f"no order equalizer with |m|_1 <= {bounds.push}")
     return yes(Certificate("order_equalizer", {"a": a, "b": b, "level": t, "m": m}))
@@ -428,24 +447,17 @@ def factor_into_atoms(graph, a: TElement, bounds: Bounds = DEFAULT_BOUNDS) -> Op
 
 
 def _normalize_period(p: Vec) -> Vec:
+    """p or -p, whichever has its first nonzero entry positive."""
     for x in p:
-        if x > 0:
-            return p
-        if x < 0:
-            return dg.neg(p)
+        if x:
+            return p if x > 0 else dg.neg(p)
     return p
 
 
 def _period_candidates(k: int, radius: int) -> List[Vec]:
     cands = [p for p in dg.box((-radius,) * k, (radius,) * k) if any(p)]
-    seen = []
-    out = []
-    for p in sorted(cands, key=lambda p: (dg.norm1(p), tuple(-x for x in p))):
-        q = _normalize_period(p)
-        if q not in seen:
-            seen.append(q)
-            out.append(q)
-    return out
+    cands.sort(key=lambda p: (dg.norm1(p), tuple(-x for x in p)))
+    return list(dict.fromkeys(map(_normalize_period, cands)))
 
 
 @graph_fact
@@ -601,10 +613,9 @@ def graded_trace(graph) -> Optional[Tuple[Vec, Vec]]:
     """
     primes = tuple(islice((p for p in count(2) if il.factorize(p) == {p: 1}), graph.k))
     for lam in permutations(primes):
-        phi = il.kernel_vector(_trace_rows(graph, lam))
-        if phi is not None and all(x < 0 for x in phi):
-            phi = dg.neg(phi)
-        if phi is not None and all(x > 0 for x in phi):
+        # the first basis vector is positive at its free column
+        phi = next(iter(il.kernel_basis(_trace_rows(graph, lam), len(graph.vertices))), ())
+        if phi and all(x > 0 for x in phi):
             return lam, phi
     return None
 
@@ -615,6 +626,41 @@ def _trace_rows(graph, lam: Sequence[int]) -> List[il.Vector]:
     return [tuple(int(j == v) - lam_i * x for j, x in enumerate(row))
             for i, lam_i in enumerate(lam)
             for v, row in enumerate(graph.color_matrix(i)) if any(row)]
+
+
+TRACE_LAMBDAS = (-1, 2)  # each lam_i of the traces that separate elements
+
+
+@graph_fact
+def trace_basis(graph) -> Tuple[Tuple[Vec, Tuple[il.Vector, ...]], ...]:
+    """(lam, a basis over Q of the traces phi at lam, of any sign, indexed by
+    ``graph.vertices``) for each lam in ``TRACE_LAMBDAS``^k with a trace."""
+    bases = ((lam, tuple(il.kernel_basis(_trace_rows(graph, lam), len(graph.vertices))))
+             for lam in product(TRACE_LAMBDAS, repeat=graph.k))
+    return tuple((lam, basis) for lam, basis in bases if basis)
+
+
+def separating_trace(graph, a: TElement, b: TElement) -> Optional[Tuple[Vec, il.Vector]]:
+    """(lam, phi): the first kept trace with tau(a) != tau(b), which proves
+    a != b on any finite graph; or None."""
+    terms = _trace_terms(graph, a, b)
+    for lam, basis in trace_basis(graph):
+        for phi in basis:
+            if _trace_gap(terms, lam, phi):
+                return lam, phi
+    return None
+
+
+def _trace_terms(graph, a: TElement, b: TElement) -> List[Tuple[int, int, Vec]]:
+    """(index of v, +-c, n - m) per generator c * v(n) of a (+) and b (-), m their meet."""
+    low = tuple(map(min, zip(*(a.offsets() + b.offsets()))))
+    return [(_position(graph, v), c, dg.sub(dg.validate_vec(n, graph.k, "offset"), low))
+            for (v, n), c in a.items + tuple((vn, -c) for vn, c in b.items)]
+
+
+def _trace_gap(terms, lam: Sequence[int], phi: Sequence[int]) -> int:
+    """(tau(a) - tau(b)) / lam^m = sum c * phi[v] * lam^(n - m) over the terms."""
+    return sum(c * phi[i] * math.prod(map(pow, lam, step)) for i, c, step in terms)
 
 
 @graph_fact
@@ -628,7 +674,7 @@ def _single_vertex_periodic_pair(graph) -> Optional[Tuple[TElement, Vec]]:
     for i, c in enumerate(counts):
         if c == 1:
             return TElement.gen(v, dg.zero(k)), dg.unit(k, i)
-    z = _normalize_period(il.kernel_vector(tuple(zip(*il.exponent_matrix(counts)))))
+    z = _normalize_period(il.kernel_basis(tuple(zip(*il.exponent_matrix(counts))), k)[0])
     zminus = tuple(max(-x, 0) for x in z)
     return TElement.gen(v, zminus), z
 
@@ -704,7 +750,7 @@ def _replay_order_equalizer(graph, tri: Tri) -> bool:
     if d["level"] is None:
         return d["a"] == d["b"] or d["a"].is_zero()
     _, x, y = _level_vectors(graph, d["a"], d["b"], d["level"])
-    return _holds_at(graph, x, y, d["m"], _leq)
+    return _holds_at(graph, x, y, d["m"], dg.leq)
 
 
 @register_replayer("graded_keys", YES, NO)
@@ -751,18 +797,29 @@ def _replay_free_mult(graph, tri: Tri) -> bool:
         and il.exponent_rank(counts) == graph.k
 
 
+def _is_trace(graph, lam: Vec, phi: Vec) -> bool:
+    """Is phi an integer trace at lam, every lam_i a nonzero int, on this finite graph?"""
+    return (not graph.is_lazy and len(lam) == graph.k and len(phi) == len(graph.vertices)
+            and all(isinstance(x, int) and x for x in lam)
+            and all(isinstance(x, int) for x in phi)
+            and not any(sum(map(operator.mul, row, phi)) for row in _trace_rows(graph, lam)))
+
+
 @register_replayer("free_trace", YES)
 def _replay_free_trace(graph, tri: Tri) -> bool:
     """Check the trace identities of :func:`graded_trace` once; no search."""
+    lam, phi = tuple(tri.certificate.data["lam"]), tuple(tri.certificate.data["phi"])
+    return _is_trace(graph, lam, phi) and all(x >= 2 for x in lam) \
+        and il.exponent_rank(lam) == graph.k and all(x > 0 for x in phi)
+
+
+@register_replayer("trace_separates", NO)
+def _replay_trace_separates(graph, tri: Tri) -> bool:
+    """Check that phi is a trace at lam with tau(a) != tau(b), once; no search."""
     d = tri.certificate.data
     lam, phi = tuple(d["lam"]), tuple(d["phi"])
-    if graph.is_lazy or len(lam) != graph.k or len(phi) != len(graph.vertices):
-        return False
-    if not all(isinstance(x, int) and x >= 2 for x in lam) or il.exponent_rank(lam) != graph.k:
-        return False
-    if not all(isinstance(x, int) and x > 0 for x in phi):
-        return False
-    return not any(sum(map(operator.mul, row, phi)) for row in _trace_rows(graph, lam))
+    return _is_trace(graph, lam, phi) and \
+        _trace_gap(_trace_terms(graph, d["a"], d["b"]), lam, phi) != 0
 
 
 @register_replayer("periodic_pair", NO)

@@ -9,7 +9,7 @@ import pytest
 from kgraphs import families, tri
 from kgraphs.classify import is_cofinal, kp_report
 from kgraphs.lattice import ideal_membership, is_prime_ideal
-from kgraphs.monoid import DEFAULT_BOUNDS, TElement, t_equal, t_leq
+from kgraphs.monoid import DEFAULT_BOUNDS, TElement, t_equal, t_equal_rewrite, t_leq
 from kgraphs.tri import NO, YES, Certificate, Tri, no, replay, yes
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kgraphs"
@@ -41,7 +41,7 @@ def certificate_kinds():
 def test_every_built_kind_has_a_replayer_and_declares_its_verdicts():
     built, registered = certificate_kinds()
     assert built == set(registered)  # no kind without a replayer, no dead replayer
-    assert len(built) >= 36
+    assert len(built) >= 37
     for kind, verdicts in registered.items():
         assert verdicts and set(verdicts) <= {"YES", "NO"}, kind
     assert set(tri._REPLAYERS) == set(registered)
@@ -68,7 +68,7 @@ def _query_verdicts():
     c4, lpt, lt = families.cycle_pullback(), families.loop_pair_tail(), families.looptail()
     fan, g2 = families.fan_3color(), families.grid(2)
     u, z = TElement.gen("u", (0, 0)), TElement.gen("z", (0, 0))
-    x = TElement.gen("x", (0, 0, 0))
+    x, v, w = (TElement.gen(name, (0, 0, 0)) for name in "xvw")
     expanded = TElement.from_pairs([((e.source, (1, 0, 0)), 1) for e in fan.out_edges("x", 0)])
     o, right = TElement.gen((0, 0), (0, 0)), TElement.gen((1, 0), (1, 0))
     return [
@@ -76,7 +76,7 @@ def _query_verdicts():
         (c4, t_leq(c4, u, TElement.gen("u", (4, 0)) + z)),
         (lpt, t_equal(lpt, u, TElement.gen("v", (0, 0)))),
         (fan, t_equal(fan, x, expanded)),
-        (fan, t_equal(fan, TElement.gen("v", (0, 0, 0)), TElement.gen("w", (0, 0, 0)))),
+        (fan, t_equal(fan, v, w)), (fan, t_equal_rewrite(fan, v, w)),
         (g2, t_equal(g2, o, right)), (g2, t_equal(g2, o, TElement.gen((1, 0), (0, 0)))),
         (g2, t_leq(g2, o, right + o)), (g2, t_leq(g2, o, TElement.gen((1, 0), (0, 0)))),
         (lt, ideal_membership(lt, TElement.gen("a", (0, 0)), {"b"})),
@@ -93,13 +93,16 @@ def test_flipped_query_verdicts_do_not_replay():
         kinds.add((t.value, t.certificate.kind))
     assert {("no", "kernel_stable"), ("yes", "level_equal"), ("yes", "equalizer"),
             ("yes", "order_equalizer"), ("yes", "skew_rewrite"), ("no", "skew_rewrite"),
+            ("no", "trace_separates"),
             ("yes", "graded_keys"), ("no", "graded_keys"), ("yes", "graded_order"),
             ("no", "graded_order"), ("yes", "ideal_member"), ("no", "ideal_nonmember"),
             ("yes", "prime_tail"), ("no", "not_prime")} <= kinds
 
 
 def test_skew_rewrite_needs_an_inner_verdict_of_its_own_value(fan3):
-    t = t_equal(fan3, TElement.gen("v", (0, 0, 0)), TElement.gen("w", (0, 0, 0)))
+    v, w = TElement.gen("v", (0, 0, 0)), TElement.gen("w", (0, 0, 0))
+    assert t_equal(fan3, v, w).certificate.kind == "trace_separates"
+    t = t_equal_rewrite(fan3, v, w)
     assert t.is_no and t.certificate.kind == "skew_rewrite"
     inner = t.certificate.data["inner"]
     forged = no(Certificate("skew_rewrite", {**t.certificate.data, "inner": flipped(inner)}))

@@ -5,11 +5,12 @@ from itertools import product
 from fractions import Fraction
 from math import gcd, lcm, prod
 
+import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgraphs.intlinalg import (exponent_rank, factorize, kernel_vector,
+from kgraphs.intlinalg import (exponent_rank, factorize, kernel_basis,
                                lattice_member, rank)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -109,22 +110,18 @@ small_matrix = st.integers(1, 4).flatmap(lambda cols: st.lists(
 def test_rank_and_kernel_match_sympy(rows):
     ref = sympy.Matrix(rows)
     assert rank(rows) == ref.rank()
-    z = kernel_vector(rows)
-    null = ref.nullspace()
-    if not null:
-        assert z is None
-        return
-    # the first sympy basis vector, cleared of denominators, is primitive
-    want = null[0] * lcm(*(int(x.q) for x in null[0]))
-    assert list(z) == [int(x) for x in want]
-    assert all(sum(a * b for a, b in zip(row, z)) == 0 for row in rows)
+    basis = kernel_basis(rows, len(rows[0]))
+    # sympy's vector of each free column, cleared of denominators, is primitive
+    want = [v * lcm(*(int(x.q) for x in v)) for v in ref.nullspace()]
+    assert basis == [tuple(int(x) for x in v) for v in want]
+    assert all(sum(a * b for a, b in zip(row, z)) == 0 for row in rows for z in basis)
 
 
-def fraction_kernel_vector(a):
-    """Reference: reduced row echelon form over Q, the first free column
-    set to 1 and the solution cleared of denominators."""
+def fraction_kernel_basis(a, ncols):
+    """Reference: reduced row echelon form over Q, and for each free column
+    the solution with that column 1 and the other free columns 0, cleared
+    of denominators."""
     rows = [[Fraction(x) for x in r] for r in a]
-    ncols = len(rows[0]) if rows else 0
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -138,15 +135,15 @@ def fraction_kernel_vector(a):
                 q = rows[i][c]
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
-    free = next((c for c in range(ncols) if c not in pivots), None)
-    if free is None:
-        return None
-    z = [Fraction(0)] * ncols
-    z[free] = Fraction(1)
-    for r, c in enumerate(pivots):
-        z[c] = -rows[r][free]
-    denom = lcm(*(x.denominator for x in z))
-    return tuple(int(x * denom) for x in z)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        z = [Fraction(0)] * ncols
+        z[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            z[c] = -rows[r][free]
+        denom = lcm(*(x.denominator for x in z))
+        basis.append(tuple(int(x * denom) for x in z))
+    return basis
 
 
 wider_matrix = st.integers(1, 7).flatmap(lambda cols: st.lists(
@@ -158,13 +155,21 @@ wider_matrix = st.integers(1, 7).flatmap(lambda cols: st.lists(
 @given(wider_matrix)
 @example([[1, -2, 0, -2], [1, -3, -3, 0], [1, 0, 0, -5]])  # fan3's trace rows, up to sign
 def test_kernel_vector_matches_fraction_elimination(rows):
-    z, ref = kernel_vector(rows), fraction_kernel_vector(rows)
-    if ref is None:
-        assert z is None
-        return
-    # both fix the first free column and zero the others, so they agree up
-    # to scaling; primitive with that column positive, they agree exactly
-    assert z == ref and gcd(*z) == 1
+    ncols = len(rows[0])
+    basis, ref = kernel_basis(rows, ncols), fraction_kernel_basis(rows, ncols)
+    # each vector fixes its free column and zeroes the others, so the two
+    # agree up to scaling; primitive with that column positive, exactly
+    assert basis == ref and all(gcd(*z) == 1 for z in basis)
+    assert len(basis) == ncols - rank(rows)
+
+
+def test_kernel_basis_takes_the_column_count():
+    # no rows: every vector is in the kernel
+    assert kernel_basis([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert kernel_basis([], 0) == []
+    assert kernel_basis([[1, -2]], 2) == [(2, 1)]
+    with pytest.raises(ValueError):
+        kernel_basis([[1, 2]], 3)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,15 +5,18 @@ from dataclasses import replace
 import pytest
 
 from helpers import sink_pullbacks
+from kgraphs import degrees as dg
 from kgraphs import families
 from kgraphs import intlinalg as il
 from kgraphs.kgraph import Edge, KGraph
 from kgraphs.monoid import (PERIODIC_BUDGET, Bounds, DEFAULT_BOUNDS, TElement,
-                            _equalizer_exponents, act, acts_freely, atoms,
+                            _equalizer_exponents, _trace_gap, _trace_rows,
+                            _trace_terms, act, acts_freely, atoms,
                             common_level, factor_into_atoms,
                             find_periodic_element, forget, graded_keys,
                             graded_trace, is_atom, is_atomic, m_congruent,
-                            push_to_level, t_equal, t_equal_rewrite, t_leq)
+                            push_to_level, separating_trace, t_equal,
+                            t_equal_rewrite, t_leq)
 from kgraphs.tri import Certificate, no, replay, yes
 
 
@@ -118,11 +121,12 @@ LEVEL_KINDS = ("kernel_stable", "equalizer", "level_equal", "order_equalizer")
 
 @pytest.mark.parametrize("kind", LEVEL_KINDS)
 @pytest.mark.parametrize("tamper", [{"level": (0, 0)}, {"level": (4, 0, 0)},
-                                    {"m": (-1, 0)}],
-                         ids=["below_offset", "wrong_length", "negative_m"])
+                                    {"m": (-1, 0)}, {"b": gen("zz", (0, 0))}],
+                         ids=["below_offset", "wrong_length", "negative_m", "foreign_vertex"])
 def test_tampered_level_certificates_are_rejected(cycle4, kind, tamper):
-    # a level below an offset of a, a level of the wrong length and a
-    # negative exponent are data the graph cannot take: replay says False
+    # a level below an offset of a, a level of the wrong length, a
+    # negative exponent and a vertex the graph lacks are data the graph
+    # cannot take: replay says False
     data = {"a": gen("u", (4, 0)), "b": gen("z", (0, 0)), "level": (4, 0), "m": (4, 4)}
     forged = Certificate(kind, {**data, **tamper})
     for verdict in (yes(forged), no(forged)):
@@ -398,3 +402,137 @@ def test_tampered_free_trace_is_rejected(fan3, lam, phi):
 def test_free_trace_is_rejected_on_a_lazy_graph(grid2):
     assert not replay(grid2, _forged_trace((2, 3), (1,)))
     assert not replay(grid2, _forged_trace((2, 3), ()))
+
+
+def test_free_trace_on_the_edgeless_graph():
+    # every vertex is a source and every phi is a trace
+    g = KGraph(2, ["v"], [], [])
+    tri = acts_freely(g, DEFAULT_BOUNDS)
+    assert tri.is_yes and tri.certificate.data == {"lam": (2, 3), "phi": (1,)}
+    assert replay(g, tri)
+
+
+# ---------------------------------------------------------------------------
+# separating traces on finite graphs with sources
+
+
+def expand(g, a, rng, moves):
+    """Apply ``moves`` random defining relations v(n) -> the sources of the
+    color-i edges at v, at n + e_i."""
+    for _ in range(moves):
+        options = [((v, n), i) for (v, n), _ in a.items for i in range(g.k) if g.out_edges(v, i)]
+        if not options:
+            break
+        (v, n), i = rng.choice(options)
+        terms = [(vn, c - (vn == (v, n))) for vn, c in a.items]
+        terms += [((e.source, dg.add(n, dg.unit(g.k, i))), 1) for e in g.out_edges(v, i)]
+        a = TElement.from_pairs(terms)
+    return a
+
+
+def random_element(g, rng):
+    """Two generators with random vertices and offsets in [0, 2]^k."""
+    return TElement.from_pairs([((rng.choice(g.vertices), tuple(rng.choices(range(3), k=g.k))), 1)
+                                for _ in range(2)])
+
+
+def test_fixed_fan3_pair_is_separated(fan3):
+    # the trace of acts_freely alone gives tau(2x) = 60, tau(u + v + w) = 19
+    a = gen("x", (0, 0, 0), 2)
+    b = TElement.from_pairs([((v, (0, 0, 0)), 1) for v in "uvw"])
+    tri = t_equal(fan3, a, b)
+    assert tri.is_no and tri.certificate.kind == "trace_separates"
+    assert replay(fan3, tri) and not replay(fan3, yes(tri.certificate))
+
+
+def test_separator_never_splits_pairs_built_equal(fan3, arrow):
+    # traces respect the relations on every finite graph, with sources or not
+    rng = random.Random(7)
+    graphs = [fan3, arrow] + sink_pullbacks(5) + [families.random_2graph(s) for s in range(6)]
+    for g in graphs:
+        for _ in range(12):
+            a = random_element(g, rng)
+            b, c = expand(g, a, rng, rng.randint(1, 3)), expand(g, a, rng, 1)
+            assert separating_trace(g, a, b) is None, (g.name, a, b)
+            assert separating_trace(g, c, b) is None, (g.name, c, b)
+
+
+def test_no_separated_pair_is_connected_by_rewriting(fan3, arrow):
+    # an exhausted rewrite search on a sink pullback takes seconds (node
+    # cap), so the cross-check stays on the two fixtures, about 0.5 s
+    rng = random.Random(1)
+    separated = 0
+    for g in (fan3, arrow):
+        for _ in range(3):
+            a, b = random_element(g, rng), random_element(g, rng)
+            if separating_trace(g, a, b) is not None:
+                separated += 1
+                assert not t_equal_rewrite(g, a, b, DEFAULT_BOUNDS).is_yes, (g.name, a, b)
+    assert separated == 6
+
+
+def _separated_v_w(fan3):
+    tri = t_equal(fan3, gen("v", (0, 0, 0)), gen("w", (0, 0, 0)))
+    assert tri.is_no and tri.certificate.kind == "trace_separates" and replay(fan3, tri)
+    return tri.certificate.data
+
+
+def _fan3_forgeries(data):
+    lam, phi = data["lam"], data["phi"]
+    x = gen("x", (0, 0, 0))
+    x_red = TElement.from_pairs([(("v", (0, 1, 0)), 1), (("u", (0, 1, 0)), 1)])
+    return {
+        "other_lam": {**data, "lam": tuple(3 * l for l in lam)},
+        "row_not_killed": {**data, "phi": phi[:3] + (phi[3] + 1,)},
+        # every row at lam_1 = 0 reads e_x, which phi = e_w passes, and
+        # tau(v) = 0 != tau(w) = 1
+        "zero_lam": {**data, "lam": (0, 2, -1), "phi": (0, 0, 1, 0)},
+        # x equals its color-1 expansion, so every trace agrees on them
+        "equal_pair": {**data, "a": x, "b": x_red},
+        "same_element": {**data, "b": data["a"]},
+        "short_phi": {**data, "phi": phi[:3]},
+        "float_lam": {**data, "lam": (float(lam[0]),) + lam[1:]},
+    }
+
+
+@pytest.mark.parametrize("tamper", ["other_lam", "row_not_killed", "zero_lam", "equal_pair",
+                                    "same_element", "short_phi", "float_lam"])
+def test_tampered_trace_separation_is_rejected(fan3, tamper):
+    forged = Certificate("trace_separates", _fan3_forgeries(_separated_v_w(fan3))[tamper])
+    assert not replay(fan3, no(forged))
+
+
+def test_trace_separation_is_rejected_off_finite_graphs(fan3, grid2):
+    data = _separated_v_w(fan3)
+    assert not replay(fan3, yes(Certificate("trace_separates", data)))
+    lazy = {"a": gen((0, 0), (0, 0)), "b": gen((1, 0), (0, 0)), "lam": (2, 2), "phi": (1,)}
+    assert not replay(grid2, no(Certificate("trace_separates", lazy)))
+
+
+def test_zero_lam_forgery_passes_every_other_check(fan3):
+    # only lam_1 = 0 stands between the forged certificate and a replay
+    d = _fan3_forgeries(_separated_v_w(fan3))["zero_lam"]
+    rows = _trace_rows(fan3, d["lam"])
+    assert not any(sum(r * p for r, p in zip(row, d["phi"])) for row in rows)
+    assert _trace_gap(_trace_terms(fan3, d["a"], d["b"]), d["lam"], d["phi"]) != 0
+
+
+@pytest.mark.parametrize("name, a, b", [
+    ("fan3", gen("zz", (0, 0, 0)), gen("u", (0, 0, 0))),
+    ("fan3", gen("zz", (0, 0, 0)), gen("zz", (0, 0, 0))),
+    ("arrow", gen("u", (0, 0)), gen("zz", (1, 0))),
+    ("cycle4", gen("zz", (0, 0)), gen("u", (0, 0))),
+], ids=["sources", "identical", "sources_second", "level"])
+def test_t_equal_names_a_foreign_generator(name, a, b):
+    with pytest.raises(ValueError, match="'zz' is not a vertex"):
+        t_equal(families.FAMILIES[name](), a, b)
+
+
+def test_unknown_equality_names_both_routes(arrow):
+    # u(0) = u(4, -4) on arrow, but six rewrite rounds do not connect them
+    scan = replace(DEFAULT_BOUNDS, rewrite=6, node_cap=500)
+    tri = t_equal(arrow, gen("u", (0, 0)), gen("u", (4, -4)), scan)
+    assert tri.is_unknown
+    assert "no trace with each lam_i in (-1, 2) separates them (monoid.TRACE_LAMBDAS)" in tri.note
+    assert "no connection within 6 rounds" in tri.note
+
