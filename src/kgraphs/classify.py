@@ -8,14 +8,16 @@ equivalent to freeness of the shift action, whose failure is witnessed by a
 periodic atom; a free action forces aperiodicity on any graph without
 sources; and semisimplicity is atomicity together with freeness, which on a
 finite graph without sources always fails by pigeonhole (leaf orbits must
-revisit a vertex).
+revisit a vertex).  So :func:`kp_report` decides freeness and atomicity
+once and derives both; of the quotients strong aperiodicity asks about,
+the one by the empty set is the graph itself.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .kgraph import (VertexId, bfs, graph_fact, is_leaf, near_targets,
                      quotient_graph, single_sources, validate)
@@ -136,7 +138,13 @@ def is_aperiodic(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     certifies yes on any graph without sources; graphs with sources get an
     unknown because the level/orbit machinery loses its footing there.
     """
-    free = acts_freely(graph, bounds)
+    return _aperiodic(graph, acts_freely(graph, bounds),
+                      functools.partial(is_atomic, graph, bounds))
+
+
+def _aperiodic(graph, free: Tri, atomic: Callable[[], Tri]) -> Tri:
+    """Aperiodicity derived from the freeness verdict ``free`` and, where
+    freeness alone does not settle it, the atomicity verdict ``atomic()``."""
     if not graph.is_lazy and graph.has_sources():
         note = "graph has sources: aperiodicity verdict withheld"
         if free.is_no:  # only the periodic search decides on a graph with sources
@@ -147,8 +155,7 @@ def is_aperiodic(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     if free.is_yes:
         return yes(Certificate("free_action", {"inner": free}),
                    note="a free shift action forces aperiodicity")
-    atomic = is_atomic(graph, bounds)
-    if atomic.is_yes and not graph.is_lazy:
+    if atomic().is_yes and not graph.is_lazy:
         if free.is_no and free.certificate.kind == "periodic_pair":
             d = free.certificate.data
             return no(Certificate("periodic_atom",
@@ -192,8 +199,11 @@ def is_semisimple(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     On a finite graph without sources this is always no: leaves force orbit
     revisits (not free) and their absence kills atomicity.
     """
-    return _tri_and(is_atomic(graph, bounds), acts_freely(graph, bounds),
-                    ("atomic", "freeAction"), "atomicity or freeness undecided")
+    return _semisimple(is_atomic(graph, bounds), acts_freely(graph, bounds))
+
+
+def _semisimple(atomic: Tri, free: Tri) -> Tri:
+    return _tri_and(atomic, free, ("atomic", "freeAction"), "atomicity or freeness undecided")
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +274,9 @@ def _tri_and(a: Tri, b: Tri, of: Tuple[str, str],
 
 
 def kp_report(graph, bounds: Bounds = DEFAULT_BOUNDS) -> ClassificationReport:
-    """The full classification summary for one graph; the structure its
-    classifiers share is kept on the graph (see ``kgraph.graph_fact``)."""
+    """The full classification summary for one graph, aperiodicity and
+    semisimplicity derived from its one freeness and atomicity verdicts; the
+    structure the classifiers share is kept on the graph (``graph_fact``)."""
     warnings: List[str] = []
     has_src = False
     if not graph.is_lazy:
@@ -275,11 +286,11 @@ def kp_report(graph, bounds: Bounds = DEFAULT_BOUNDS) -> ClassificationReport:
     cofinal = is_cofinal(graph)
     atomic = is_atomic(graph, bounds)
     free = acts_freely(graph, bounds)
-    aper = is_aperiodic(graph, bounds)
+    aper = _aperiodic(graph, free, lambda: atomic)
     strong = is_strongly_aperiodic(graph, bounds) if not graph.is_lazy and not has_src \
         else unknown("not computed")
     simple = _tri_and(cofinal, aper, ("cofinal", "aperiodic"))
-    semi = is_semisimple(graph, bounds)
+    semi = _semisimple(atomic, free)
     try:
         pts = line_points(graph, bounds)
         classes = count_line_point_classes(graph, bounds)
@@ -331,7 +342,7 @@ def _replay_free_action(graph, tri: Tri) -> bool:
 def _replay_periodic_atom(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     a, p = d["element"], tuple(d["period"])
-    if len(a.items) != 1 or not any(p):
+    if len(a.items) != 1 or len(p) != graph.k or not any(p):
         return False
     (v, _), _ = a.items[0]
     if not is_leaf(graph, v).is_yes:

@@ -2,11 +2,14 @@
 
 Degrees and offsets are plain tuples of ints of length k (the rank of the
 graph).  Keeping them as tuples makes them hashable and cheap to compare;
-these helpers centralise the componentwise arithmetic.
+these helpers centralise the componentwise arithmetic, and ``add``,
+``sub``, ``join`` and ``leq`` raise ValueError on vectors of unequal
+lengths instead of cutting the longer one short.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import product
 from typing import Iterator, Sequence, Tuple
 
@@ -22,12 +25,18 @@ def unit(k: int, i: int) -> Vec:
     return tuple(1 if j == i else 0 for j in range(k))
 
 
+def _pairwise(op, a: Vec, b: Vec):
+    if len(a) != len(b):
+        raise ValueError(f"vectors of unequal lengths: {a!r} and {b!r}")
+    return map(op, a, b)
+
+
 def add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(_pairwise(operator.add, a, b))
 
 
 def sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(_pairwise(operator.sub, a, b))
 
 
 def neg(a: Vec) -> Vec:
@@ -36,12 +45,12 @@ def neg(a: Vec) -> Vec:
 
 def join(a: Vec, b: Vec) -> Vec:
     """Componentwise maximum (least upper bound in the product order)."""
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(_pairwise(max, a, b))
 
 
 def leq(a: Vec, b: Vec) -> bool:
     """Componentwise order a <= b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(_pairwise(operator.le, a, b))
 
 
 def is_nonneg(a: Vec) -> bool:

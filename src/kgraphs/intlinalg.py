@@ -9,8 +9,9 @@ vertex j.  The module owns:
 
 - products: ``identity``, ``vecmat``, ``matmul``, and for boolean supports
   ``support`` and ``bool_vecmat``;
-- ``rank`` over Q by fraction-free (Bareiss) elimination and a primitive
-  integer ``kernel_basis`` by fraction-free Gauss-Jordan elimination;
+- a primitive integer ``kernel_basis`` by fraction-free Gauss-Jordan
+  elimination, the one elimination here: a rank is the column count less
+  the number of basis vectors;
 - prime-exponent vectors: trial-division ``factorize``, ``exponent_matrix``
   and ``exponent_rank``;
 - ``lattice_member``, membership in the sublattice of Z^m spanned by a list
@@ -105,28 +106,6 @@ def bool_vecmat(mask: int, supp: Sequence[int]) -> int:
     return out
 
 
-def rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank over Q, by Bareiss fraction-free elimination.
-
-    After each pivot every remaining entry is a minor of the input, so the
-    division by the previous pivot is exact and no rationals appear.
-    """
-    rows = [list(r) for r in a]
-    r, prev = 0, 1
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p, top = rows[r][c], rows[r]
-        for i in range(r + 1, len(rows)):
-            q = rows[i][c]
-            rows[i] = [(p * x - q * y) // prev for x, y in zip(rows[i], top)]
-        prev = p
-        r += 1
-    return r
-
-
 def kernel_basis(a: Sequence[Sequence[int]], ncols: int) -> List[Vector]:
     """A basis over Q of the integer z with a z = 0, a with ``ncols`` columns
     (no rows: all of Z^ncols), one primitive z per free column.
@@ -197,4 +176,6 @@ def exponent_matrix(values: Sequence[int]) -> Matrix:
 
 def exponent_rank(values: Sequence[int]) -> int:
     """Rank over Q of the prime-exponent vectors of positive integers."""
-    return rank(exponent_matrix(values))
+    rows = exponent_matrix(values)
+    ncols = len(rows[0]) if rows else 0
+    return ncols - len(kernel_basis(rows, ncols))

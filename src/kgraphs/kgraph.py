@@ -472,9 +472,12 @@ def quotient_graph(g: KGraph, h: Iterable[VertexId]) -> KGraph:
 
     Keeps vertices outside ``h`` and edges whose source lies outside ``h``
     (heredity then guarantees the range survives too), restricting squares to
-    surviving edges.
+    surviving edges.  An empty ``h`` gives ``g`` itself, so the quotient
+    reads the structure already kept on ``g``.
     """
     hset = set(h)
+    if not hset:
+        return g
     verts = [v for v in g.vertices if v not in hset]
     edges = [e for e in g.edges if e.source not in hset and e.range not in hset]
     keep = {e.id for e in edges}

@@ -257,8 +257,11 @@ def ideal_membership(graph, a, h: Iterable[VertexId]) -> Tri:
 
     Exactly when its support lies in the unit-degree closure U of h (see the
     module docstring).  A "no" records U and a support vertex outside it;
-    lazy graphs get ``unknown``.
+    lazy graphs get ``unknown``, and ValueError names an offset of a whose
+    length is not the rank.
     """
+    for n in a.offsets():
+        dg.validate_vec(n, graph.k, "offset")
     if graph.is_lazy:
         return unknown("ideal membership needs a finite graph")
     hkey = tuple(sorted(set(h), key=repr))

@@ -148,6 +148,17 @@ def push_to_level(graph, a: TElement, t: Sequence[int]) -> il.Vector:
     return x
 
 
+def _check_generators(graph, *elements: TElement) -> None:
+    """ValueError naming a generator v(n) of ``elements`` that the graph
+    cannot take: n not of length k, or on a finite graph v not a vertex."""
+    for a in elements:
+        for (v, n), _ in a.items:
+            if len(n) != graph.k:
+                dg.validate_vec(n, graph.k, "offset")
+            if not graph.is_lazy:
+                _position(graph, v)
+
+
 def _position(graph, v: VertexId) -> int:
     """The index of v in ``graph.vertices``; ValueError if the graph lacks v."""
     if v not in graph.vertex_index:
@@ -172,9 +183,9 @@ def _level_vectors(graph, a: TElement, b: TElement,
 
 
 def is_exact(graph) -> bool:
-    """True when every color matrix is injective (has full rank)."""
-    return all(il.rank(graph.color_matrix(i)) == len(graph.vertices)
-               for i in range(graph.k))
+    """True when every color matrix is injective (has full rank: no kernel)."""
+    return not any(il.kernel_basis(graph.color_matrix(i), len(graph.vertices))
+                   for i in range(graph.k))
 
 
 def _equalizer_exponents(k: int, bound: int):
@@ -235,11 +246,10 @@ def t_equal(graph, a: TElement, b: TElement, bounds: Bounds = DEFAULT_BOUNDS) ->
     Graded lazy families compare key multisets, finite graphs without
     sources always get a verdict from the level engine, finite graphs with
     sources try :func:`separating_trace` first, and the rest goes to the
-    skew rewriting of :func:`t_equal_rewrite`; ValueError names a foreign vertex.
+    skew rewriting of :func:`t_equal_rewrite`; ValueError names an offset
+    whose length is not the rank, or on a finite graph a foreign vertex.
     """
-    if not graph.is_lazy:
-        for (v, _), _ in a.items + b.items:
-            _position(graph, v)
+    _check_generators(graph, a, b)
     if a == b:
         return yes(Certificate("level_equal", {"a": a, "b": b, "level": None}))
     if a.is_zero() != b.is_zero():
@@ -314,8 +324,9 @@ def t_leq(graph, a: TElement, b: TElement, bounds: Bounds = DEFAULT_BOUNDS) -> T
     Uses the level picture: a <= b exactly when some push A_m makes the
     level vector of a componentwise at most that of b.  Yes answers carry
     the exponent; a failed bounded search is unknown (order negativity has
-    no finite certificate here in general).
+    no finite certificate here in general).  ValueError as in :func:`t_equal`.
     """
+    _check_generators(graph, a, b)
     if a == b or a.is_zero():
         return yes(Certificate("order_equalizer", {"a": a, "b": b, "level": None, "m": None}))
     if _graded(graph):
@@ -460,7 +471,6 @@ def _period_candidates(k: int, radius: int) -> List[Vec]:
     return list(dict.fromkeys(map(_normalize_period, cands)))
 
 
-@graph_fact
 def leaf_orbit_collision(graph, v: VertexId,
                          radius: int) -> Optional[Tuple[Vec, Vec, VertexId]]:
     """Two degrees at which the unique path from a leaf visits one vertex,
@@ -557,7 +567,7 @@ def acts_freely(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
         return yes(Certificate("graded_translation", {}),
                    note="finite key multisets admit no nonzero translation symmetry")
 
-    tried = ""
+    tried, found = "", None
     if not graph.is_lazy and graph.has_sources():
         trace = graded_trace(graph)
         if trace is not None:
@@ -566,25 +576,24 @@ def acts_freely(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
                        note=f"the graded trace phi(v) * lam^n, lam = {lam}, is positive "
                             "and a shift by p scales it by lam^p")
         tried = f"no graded trace with lam a permutation of the first {k} primes, and "
+    elif not graph.is_lazy and len(graph.vertices) == 1:
+        v = graph.vertices[0]
+        counts = [len(graph.out_edges(v, i)) for i in range(k)]
+        if all(c >= 2 for c in counts) and il.exponent_rank(counts) == k:
+            return yes(Certificate("free_multiplicative", {"counts": counts}))
+        if 1 in counts:  # v(0) = v(e_i) along a single loop of color i
+            found = TElement.gen(v, dg.zero(k)), dg.unit(k, counts.index(1))
+        else:  # counts^z = 1 for z in the kernel of the exponent matrix
+            z = _normalize_period(il.kernel_basis(tuple(zip(*il.exponent_matrix(counts))), k)[0])
+            found = TElement.gen(v, tuple(max(-x, 0) for x in z)), z
     elif not graph.is_lazy:
-        if len(graph.vertices) == 1:
-            v = graph.vertices[0]
-            counts = [len(graph.out_edges(v, i)) for i in range(k)]
-            witness = _single_vertex_periodic_pair(graph)
-            if witness is None:
-                return yes(Certificate("free_multiplicative", {"counts": counts}))
-            return no(Certificate("periodic_pair",
-                                  {"element": witness[0], "period": witness[1]}))
         leaf_set = atoms(graph, bounds)
-        if leaf_set:
-            hit = leaf_orbit_collision(graph, leaf_set[0], len(graph.vertices) + 1)
-            if hit is not None:
-                m1, m2, u = hit
-                return no(Certificate("periodic_pair",
-                                      {"element": TElement.gen(u, dg.zero(k)),
-                                       "period": _normalize_period(dg.sub(m2, m1))}))
+        hit = leaf_set and leaf_orbit_collision(graph, leaf_set[0], len(graph.vertices) + 1)
+        if hit:
+            m1, m2, u = hit
+            found = TElement.gen(u, dg.zero(k)), _normalize_period(dg.sub(m2, m1))
 
-    found = find_periodic_element(graph, bounds)
+    found = found or find_periodic_element(graph, bounds)
     if found is not None:
         a, p = found
         return no(Certificate("periodic_pair", {"element": a, "period": p}))
@@ -661,22 +670,6 @@ def _trace_terms(graph, a: TElement, b: TElement) -> List[Tuple[int, int, Vec]]:
 def _trace_gap(terms, lam: Sequence[int], phi: Sequence[int]) -> int:
     """(tau(a) - tau(b)) / lam^m = sum c * phi[v] * lam^(n - m) over the terms."""
     return sum(c * phi[i] * math.prod(map(pow, lam, step)) for i, c, step in terms)
-
-
-@graph_fact
-def _single_vertex_periodic_pair(graph) -> Optional[Tuple[TElement, Vec]]:
-    """A periodic pair on a one-vertex graph without sources; None when its
-    color counts are all at least 2 and multiplicatively independent."""
-    k, v = graph.k, graph.vertices[0]
-    counts = [len(graph.out_edges(v, i)) for i in range(k)]
-    if all(c >= 2 for c in counts) and il.exponent_rank(counts) == k:
-        return None
-    for i, c in enumerate(counts):
-        if c == 1:
-            return TElement.gen(v, dg.zero(k)), dg.unit(k, i)
-    z = _normalize_period(il.kernel_basis(tuple(zip(*il.exponent_matrix(counts))), k)[0])
-    zminus = tuple(max(-x, 0) for x in z)
-    return TElement.gen(v, zminus), z
 
 
 def refine(graph, a1: TElement, a2: TElement, b1: TElement, b2: TElement,
@@ -826,7 +819,7 @@ def _replay_trace_separates(graph, tri: Tri) -> bool:
 def _replay_periodic_pair(graph, tri: Tri) -> bool:
     d = tri.certificate.data
     a, p = d["element"], tuple(d["period"])
-    if not any(p) or a.is_zero():
+    if len(p) != graph.k or not any(p) or a.is_zero():
         return False
     return t_equal(graph, a, act(p, a)).is_yes
 

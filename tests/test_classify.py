@@ -217,6 +217,34 @@ def test_report_and_replays_compute_each_structure_once(family, fact):
     assert store.computed.count(fact) == 1
 
 
+@pytest.mark.parametrize("family, most", [
+    ("fan3", 1), ("arrow", 1), ("grid2", 1), ("bratteli", 1),
+    # strong aperiodicity asks again of the quotient by H = {}, the graph itself
+    ("cycle4", 2), ("one-vertex-3x2", 2)])
+def test_report_decides_freeness_and_atomicity_once(monkeypatch, family, most):
+    g = families.FAMILIES[family]()
+    free = _count_calls(monkeypatch, "acts_freely", monoid, classify)
+    atomic = _count_calls(monkeypatch, "is_atomic", monoid, classify)
+    kp_report(g, DEFAULT_BOUNDS)
+    for calls in (free, atomic):
+        assert 1 <= len(calls) <= most
+        # these lattices are trivial, so no other graph is analysed
+        assert all(args[0] is g for args in calls)
+
+
+@pytest.mark.parametrize("family", ["grid2", "delta2"])
+def test_report_and_replays_keep_three_store_entries(family):
+    # the sampled window, its leaves and the line points: nothing per atom
+    g = families.FAMILIES[family]()
+    _report_and_replays(g)
+    assert sorted(key[0].__name__ for key in g._store) == \
+        ["leaves", "line_points", "sample_vertices"]
+    for radius in range(6):
+        line_points(g, replace(DEFAULT_BOUNDS, offset_radius=radius))
+    # one entry per new radius (the report kept radius 4)
+    assert len(g._store) == 3 + 5
+
+
 def test_report_tests_each_leaf_once(monkeypatch, grid2):
     singles = _count_calls(monkeypatch, "is_leaf", kgraph, monoid, classify)
     store = grid2._store = CountingStore()

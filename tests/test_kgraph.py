@@ -127,6 +127,12 @@ def test_quotient(looptail):
     assert validate(q).ok
 
 
+def test_quotient_by_the_empty_set_is_the_graph(looptail):
+    # the graph itself, with the structure already kept on it
+    assert quotient_graph(looptail, set()) is looptail
+    assert quotient_graph(looptail, ()) is looptail
+
+
 def test_is_leaf(cycle4, loop_pair_tail, grid2, bratteli):
     for v in cycle4.vertices:
         assert is_leaf(cycle4, v, 8).is_yes

@@ -9,6 +9,7 @@ from kgraphs import degrees as dg
 from kgraphs import families
 from kgraphs import intlinalg as il
 from kgraphs.kgraph import Edge, KGraph
+from kgraphs.lattice import ideal_membership
 from kgraphs.monoid import (PERIODIC_BUDGET, Bounds, DEFAULT_BOUNDS, TElement,
                             _equalizer_exponents, _trace_gap, _trace_rows,
                             _trace_terms, act, acts_freely, atoms,
@@ -131,6 +132,27 @@ def test_tampered_level_certificates_are_rejected(cycle4, kind, tamper):
     forged = Certificate(kind, {**data, **tamper})
     for verdict in (yes(forged), no(forged)):
         assert replay(cycle4, verdict) is False
+
+
+@pytest.mark.parametrize("kind, b", [
+    ("kernel_stable", gen("z", (0, 0))), ("equalizer", gen("u", (0, 0))),
+    ("level_equal", gen("u", (0, 0))), ("order_equalizer", gen("u", (0, 0)))],
+    ids=LEVEL_KINDS)
+def test_level_certificates_reject_an_offset_of_the_wrong_length(cycle4, kind, b):
+    # u(4, 0) = u(0, 0) != z(0, 0) at level (4, 0): the data replays at
+    # offsets of length 2, and a third entry must not be cut away
+    verdict = no if kind == "kernel_stable" else yes
+    data = {"a": gen("u", (4, 0)), "b": b, "level": (4, 0), "m": (4, 4)}
+    assert replay(cycle4, verdict(Certificate(kind, data)))
+    assert not replay(cycle4, verdict(Certificate(kind, {**data, "a": gen("u", (4, 0, 7))})))
+
+
+@pytest.mark.parametrize("kind", ["periodic_pair", "periodic_atom"])
+def test_periods_of_the_wrong_length_are_rejected(cycle4, kind):
+    good = {"element": gen("u", (0, 0)), "period": (4, 0)}
+    assert replay(cycle4, no(Certificate(kind, good)))
+    for bad in ({**good, "period": (4, 0, 7)}, {**good, "element": gen("u", (0, 0, 0))}):
+        assert not replay(cycle4, no(Certificate(kind, bad)))
 
 
 @pytest.mark.parametrize("kind", LEVEL_KINDS)
@@ -517,15 +539,33 @@ def test_zero_lam_forgery_passes_every_other_check(fan3):
     assert _trace_gap(_trace_terms(fan3, d["a"], d["b"]), d["lam"], d["phi"]) != 0
 
 
-@pytest.mark.parametrize("name, a, b", [
-    ("fan3", gen("zz", (0, 0, 0)), gen("u", (0, 0, 0))),
-    ("fan3", gen("zz", (0, 0, 0)), gen("zz", (0, 0, 0))),
-    ("arrow", gen("u", (0, 0)), gen("zz", (1, 0))),
-    ("cycle4", gen("zz", (0, 0)), gen("u", (0, 0))),
-], ids=["sources", "identical", "sources_second", "level"])
-def test_t_equal_names_a_foreign_generator(name, a, b):
-    with pytest.raises(ValueError, match="'zz' is not a vertex"):
+FOREIGN = "'zz' is not a vertex"
+
+
+@pytest.mark.parametrize("name, a, b, match", [
+    ("fan3", gen("zz", (0, 0, 0)), gen("u", (0, 0, 0)), FOREIGN),
+    ("fan3", gen("zz", (0, 0, 0)), gen("zz", (0, 0, 0)), FOREIGN),
+    ("arrow", gen("u", (0, 0)), gen("zz", (1, 0)), FOREIGN),
+    ("cycle4", gen("zz", (0, 0)), gen("u", (0, 0)), FOREIGN),
+    # an offset whose length is not the rank, on every kind of graph
+    ("cycle4", gen("u", (0, 0, 0)), gen("u", (4, 0, 0)), r"offset .* length-2 .* \(0, 0, 0\)"),
+    ("fan3", gen("u", (0, 0)), gen("u", (0, 0)), r"offset .* length-3 .* \(0, 0\)"),
+    ("grid2", gen((0, 0), (1, 1, 1)), gen((1, 1), (2, 2, 2)), r"length-2 .* \(1, 1, 1\)"),
+    ("bratteli", gen((0, 0), (0, 0)), gen((0, 0), (0, 0, 0)), r"length-2 .* \(0, 0, 0\)"),
+], ids=["sources", "identical", "sources_second", "level", "long_offset_level",
+        "short_offset_sources", "long_offset_graded", "long_offset_lazy"])
+def test_t_equal_names_a_foreign_generator(name, a, b, match):
+    with pytest.raises(ValueError, match=match):
         t_equal(families.FAMILIES[name](), a, b)
+
+
+def test_order_and_membership_name_an_offset_of_the_wrong_length(cycle4, grid2):
+    u, u4 = gen("u", (0, 0, 0)), gen("u", (4, 0, 0))
+    for ask in (lambda: t_leq(cycle4, u, u4), lambda: ideal_membership(cycle4, u, ["u"]),
+                lambda: t_leq(grid2, gen((0, 0), (0, 0, 0)), gen((1, 0), (1, 0, 0))),
+                lambda: ideal_membership(grid2, gen((0, 0), (0, 0, 0)), [(0, 0)])):
+        with pytest.raises(ValueError, match=r"offset .* length-2 .* \(0, 0, 0\)"):
+            ask()
 
 
 def test_unknown_equality_names_both_routes(arrow):
