@@ -175,7 +175,6 @@ def exponent_matrix(values: Sequence[int]) -> Matrix:
 
 
 def exponent_rank(values: Sequence[int]) -> int:
-    """Rank over Q of the prime-exponent vectors of positive integers."""
-    rows = exponent_matrix(values)
-    ncols = len(rows[0]) if rows else 0
-    return ncols - len(kernel_basis(rows, ncols))
+    """Rank over Q of the prime-exponent vectors of positive integers: their
+    count less that of the independent relations prod values^z = 1."""
+    return len(values) - len(kernel_basis(tuple(zip(*exponent_matrix(values))), len(values)))

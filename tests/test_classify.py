@@ -228,7 +228,7 @@ def test_report_decides_freeness_and_atomicity_once(monkeypatch, family, most):
     kp_report(g, DEFAULT_BOUNDS)
     for calls in (free, atomic):
         assert 1 <= len(calls) <= most
-        # these lattices are trivial, so no other graph is analysed
+        # no copy of g is analysed, nor any proper quotient (there is none here)
         assert all(args[0] is g for args in calls)
 
 
