@@ -10,7 +10,7 @@ sources; and semisimplicity is atomicity together with freeness, which on a
 finite graph without sources always fails by pigeonhole (leaf orbits must
 revisit a vertex).  So :func:`kp_report` decides freeness and atomicity
 once and derives both; of the quotients strong aperiodicity asks about,
-the one by the empty set is the graph itself.
+the one by the empty set is the graph itself, whose verdict it reuses.
 """
 
 from __future__ import annotations
@@ -176,6 +176,12 @@ def _proper_hs_sets(graph) -> List[Tuple[VertexId, ...]]:
 
 def is_strongly_aperiodic(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
     """Is every quotient by a proper hereditary saturated set aperiodic?"""
+    return _strongly_aperiodic(graph, bounds, functools.partial(is_aperiodic, graph, bounds))
+
+
+def _strongly_aperiodic(graph, bounds: Bounds, own: Callable[[], Tri]) -> Tri:
+    """Strong aperiodicity, with ``own()`` the aperiodicity verdict of the
+    quotient by the empty set, which is the graph itself."""
     if graph.is_lazy or len(graph.vertices) > LATTICE_LIMIT:
         return unknown(f"strong aperiodicity needs a finite graph in the {LATTICE_LIMIT}-vertex lattice limit")
     try:
@@ -184,7 +190,7 @@ def is_strongly_aperiodic(graph, bounds: Bounds = DEFAULT_BOUNDS) -> Tri:
         return unknown(f"strong aperiodicity: {exc}")
     parts = []
     for h in subsets:
-        verdict = is_aperiodic(quotient_graph(graph, h), bounds)
+        verdict = is_aperiodic(quotient_graph(graph, h), bounds) if h else own()
         if verdict.is_no:
             return no(Certificate("quotient_periodic", {"h": h, "inner": verdict}))
         parts.append((h, verdict))
@@ -287,8 +293,8 @@ def kp_report(graph, bounds: Bounds = DEFAULT_BOUNDS) -> ClassificationReport:
     atomic = is_atomic(graph, bounds)
     free = acts_freely(graph, bounds)
     aper = _aperiodic(graph, free, lambda: atomic)
-    strong = is_strongly_aperiodic(graph, bounds) if not graph.is_lazy and not has_src \
-        else unknown("not computed")
+    strong = unknown("not computed") if graph.is_lazy or has_src \
+        else _strongly_aperiodic(graph, bounds, lambda: aper)
     simple = _tri_and(cofinal, aper, ("cofinal", "aperiodic"))
     semi = _semisimple(atomic, free)
     try:

@@ -493,11 +493,11 @@ def skew_product(g: GraphLike) -> LazyKGraph:
     (s(e), n + e_i) for every n.  The lift is always infinite, hence lazy.
     """
     k = g.k
+    units = [dg.unit(k, i) for i in range(k)]
 
     def lift(e: Edge, n: Tuple[int, ...]) -> Edge:
-        m = dg.add(n, dg.unit(k, e.color))
         return Edge(id=(e.id, n), color=e.color,
-                    range=(e.range, n), source=(e.source, m))
+                    range=(e.range, n), source=(e.source, dg.add(n, units[e.color])))
 
     def out_fn(vn, color):
         v, n = vn
@@ -505,7 +505,7 @@ def skew_product(g: GraphLike) -> LazyKGraph:
 
     def in_fn(vn, color):
         v, n = vn
-        m = dg.sub(n, dg.unit(k, color))
+        m = dg.sub(n, units[color])
         return [lift(e, m) for e in g.in_edges(v, color)]
 
     def swap_fn(x: Edge, y: Edge):
@@ -514,7 +514,7 @@ def skew_product(g: GraphLike) -> LazyKGraph:
         base_x = g.edge_by_id[ex] if not g.is_lazy else _unlift_lazy(g, x)
         base_y = g.edge_by_id[ey] if not g.is_lazy else _unlift_lazy(g, y)
         a, b = g.swap_pair(base_x, base_y)
-        return lift(a, nx), lift(b, dg.add(nx, dg.unit(k, a.color)))
+        return lift(a, nx), lift(b, dg.add(nx, units[a.color]))
 
     if g.is_lazy:
         roots = [(v, dg.zero(k)) for v in g.roots]

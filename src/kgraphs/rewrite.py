@@ -8,6 +8,13 @@ nonempty.  The congruence generated by these steps (with the zero class kept
 trivial) is exactly connectivity in the symmetric step graph, which is what
 :func:`congruent` searches.
 
+Every step goes through one engine, :class:`_Steps`.  Its states are the
+``items`` of a :class:`FreeElement`: plain ``((generator, coefficient), ...)``
+tuples sorted by the generator's ``repr``, and a step is a dict update and
+one keyed sort.  An engine lives for one search or replay and reads each
+generator's ``repr``, each (generator, color) expansion and, on a lazy
+graph, each in-edge candidate list once; nothing goes on the graph's store.
+
 Certified negative answers come from two sound routes: exhausting a finite
 connected component, or an integer-lattice invariant (each step changes the
 coefficient vector by a relation vector, so elements whose difference lies
@@ -26,6 +33,7 @@ from .tri import NO, YES, Certificate, Tri, no, register_replayer, unknown, yes
 
 Gen = Hashable
 StepLabel = Tuple[int, Gen, int]  # (direction +1/-1, generator, color)
+State = Tuple[Tuple[Gen, int], ...]  # a FreeElement's items
 
 DEFAULT_NODE_CAP = 20000
 
@@ -60,9 +68,6 @@ class FreeElement:
     def is_zero(self) -> bool:
         return not self.items
 
-    def total(self) -> int:
-        return sum(n for _, n in self.items)
-
     def __add__(self, other: "FreeElement") -> "FreeElement":
         c = self.counter()
         c.update(other.counter())
@@ -77,9 +82,6 @@ class FreeElement:
             c[g] -= n
         return FreeElement.from_pairs(c.items())
 
-    def support(self) -> Tuple[Gen, ...]:
-        return tuple(g for g, _ in self.items)
-
     def __repr__(self) -> str:
         if not self.items:
             return "0"
@@ -88,103 +90,115 @@ class FreeElement:
 
 
 def expansion(graph: GraphLike, gen: Gen, color: int) -> Optional[FreeElement]:
-    """The multiset of out-edge sources of ``gen`` in ``color``.
-
-    None when the generator has no color-``color`` out-edge (the step is not
-    enabled there: sources never rewrite away).
-    """
-    edges = graph.out_edges(gen, color)
-    if not edges:
-        return None
-    return FreeElement.from_pairs(Counter(e.source for e in edges).items())
+    """The multiset of out-edge sources of ``gen`` in ``color``; None when
+    there is none (the step is not enabled there: sources never rewrite away)."""
+    exp = _Steps(graph).expansion(gen, color)
+    return None if exp is None else FreeElement.from_pairs(exp)
 
 
-def step(graph: GraphLike, elem: FreeElement, gen: Gen, color: int) -> Optional[FreeElement]:
-    """Apply one rewriting step at one occurrence of ``gen``, if enabled."""
-    exp = expansion(graph, gen, color)
-    if exp is None:
-        return None
-    rest = elem.subtract(FreeElement.single(gen))
-    if rest is None:
-        return None
-    return rest + exp
+class _Reprs(dict):
+    """``repr`` of each key, computed on first lookup."""
+
+    def __missing__(self, key):
+        self[key] = r = repr(key)
+        return r
 
 
-def step_back(graph: GraphLike, elem: FreeElement, gen: Gen,
-              color: int) -> Optional[FreeElement]:
-    """Undo one step: replace one occurrence of the color-``color`` expansion
-    of ``gen`` by ``gen``, if enabled."""
-    exp = expansion(graph, gen, color)
-    if exp is None:
-        return None
-    rest = elem.subtract(exp)
-    if rest is None:
-        return None
-    return rest + FreeElement.single(gen)
+class _Steps:
+    """The step relation of ``graph`` on states, for one search or replay."""
+
+    def __init__(self, graph: GraphLike):
+        self.graph, self.colors = graph, range(graph.k)
+        reprs, self.in_reprs = _Reprs(), _Reprs()
+        self.key = lambda kv: reprs[kv[0]]
+        self.exps: Dict[Tuple[Gen, int], Optional[State]] = {}
+        self.ins: Dict[Tuple[Gen, int], List[Tuple[Gen, int]]] = {}  # in-edge ranges
+        self.every = None if graph.is_lazy else \
+            [(-1, v, i) for v in graph.vertices for i in self.colors]
+
+    def expansion(self, gen: Gen, color: int) -> Optional[State]:
+        """(source, count) pairs of the color-``color`` out-edges of
+        ``gen``; None where the step is not enabled."""
+        if (gen, color) not in self.exps:
+            edges = self.graph.out_edges(gen, color)
+            self.exps[gen, color] = tuple(Counter(e.source for e in edges).items()) or None
+        return self.exps[gen, color]
+
+    def step(self, cur: State, label: StepLabel) -> Optional[State]:
+        """One step, forward if the direction is +1, else back; None where
+        the step is not enabled."""
+        d, gen, color = label
+        exp = self.expansion(gen, color)
+        if exp is None:
+            return None
+        take, give = (((gen, 1),), exp) if d == +1 else (exp, ((gen, 1),))
+        counts = dict(cur)
+        for g, m in take:
+            n = counts.get(g, 0) - m
+            if n < 0:
+                return None
+            counts[g] = n
+        for g, m in give:
+            counts[g] = counts.get(g, 0) + m
+        return tuple(sorted([kv for kv in counts.items() if kv[1]], key=self.key))
+
+    def forward(self, cur: State) -> List[StepLabel]:
+        """Generators in repr order, then colors ascending."""
+        return [(+1, g, c) for g, _ in cur for c in self.colors]
+
+    def backward(self, cur: State) -> List[StepLabel]:
+        """Every (vertex, color) in vertex order on a finite graph; on a lazy
+        one the ranges of in-edges at ``cur``, in repr order."""
+        if self.every is not None:
+            return self.every
+        if not self.graph.supports_in_edges:
+            return []
+        found = set()
+        for gen, _ in cur:
+            for color in self.colors:
+                if (gen, color) not in self.ins:
+                    self.ins[gen, color] = [
+                        (e.range, color) for e in self.graph.in_edges(gen, color)]
+                found.update(self.ins[gen, color])
+        return [(-1, g, c) for g, c in sorted(found, key=self.in_reprs.__getitem__)]
+
+    def neighbors(self, cur: State, labels=None) -> List[Tuple[State, StepLabel]]:
+        """The enabled steps among ``labels`` (all of them by default), with
+        the states they reach."""
+        out = []
+        for label in self.forward(cur) + self.backward(cur) if labels is None else labels:
+            nxt = self.step(cur, label)
+            if nxt is not None:
+                out.append((nxt, label))
+        return out
 
 
 def successors(graph: GraphLike, elem: FreeElement) -> List[Tuple[FreeElement, StepLabel]]:
-    out = []
-    for gen, _ in elem.items:
-        for color in range(graph.k):
-            nxt = step(graph, elem, gen, color)
-            if nxt is not None:
-                out.append((nxt, (+1, gen, color)))
-    return out
+    steps = _Steps(graph)
+    return [(FreeElement(s), label)
+            for s, label in steps.neighbors(elem.items, steps.forward(elem.items))]
 
 
-def _predecessor_candidates(graph: GraphLike, elem: FreeElement) -> List[Tuple[Gen, int]]:
-    if not graph.is_lazy:
-        return [(v, i) for v in graph.vertices for i in range(graph.k)]
-    if not graph.supports_in_edges:
-        return []
-    cands = set()
-    for gen, _ in elem.items:
-        for color in range(graph.k):
-            for e in graph.in_edges(gen, color):
-                cands.add((e.range, color))
-    return sorted(cands, key=repr)
-
-
-def predecessors(graph: GraphLike, elem: FreeElement) -> List[Tuple[FreeElement, StepLabel]]:
-    """Elements that rewrite to ``elem`` in one step."""
-    out = []
-    for gen, color in _predecessor_candidates(graph, elem):
-        prev = step_back(graph, elem, gen, color)
-        if prev is not None:
-            out.append((prev, (-1, gen, color)))
-    return out
-
-
-def _neighbors(graph: GraphLike, elem: FreeElement):
-    return successors(graph, elem) + predecessors(graph, elem)
-
-
-def _invariant_separates(graph, a: FreeElement, b: FreeElement) -> bool:
+def _invariant_separates(steps: _Steps, a: FreeElement, b: FreeElement) -> bool:
     """Is a - b outside the integer lattice spanned by the relation vectors
     (finite graphs)?  Each step changes the coefficient vector by a relation
     vector, so then a and b are never congruent.  ValueError for a
     generator the graph lacks."""
-    verts, idx = graph.vertices, graph.vertex_index
-    for g in a.support() + b.support():
-        if g not in idx:
-            raise ValueError(f"{g!r} is not a vertex of the graph")
+    verts, idx = steps.graph.vertices, steps.graph.vertex_index
+    diff = [0] * len(verts)
+    for sign, elem in ((1, a), (-1, b)):
+        for g, n in elem.items:
+            if g not in idx:
+                raise ValueError(f"{g!r} is not a vertex of the graph")
+            diff[idx[g]] += sign * n
     rels = []
-    for v in verts:
-        for color in range(graph.k):
-            exp = expansion(graph, v, color)
-            if exp is None:
-                continue
+    for _, v, color in steps.every:
+        exp = steps.expansion(v, color)
+        if exp is not None:
             vec = [0] * len(verts)
-            vec[idx[v]] -= 1
-            for g, n in exp.items:
+            for g, n in ((v, -1),) + exp:
                 vec[idx[g]] += n
             rels.append(vec)
-    diff = [0] * len(verts)
-    for g, n in a.items:
-        diff[idx[g]] += n
-    for g, n in b.items:
-        diff[idx[g]] -= n
     return not lattice_member(rels, diff)
 
 
@@ -202,61 +216,45 @@ def congruent(graph: GraphLike, a: FreeElement, b: FreeElement, bound: int = 16,
     if a.is_zero() or b.is_zero():
         return no(Certificate("zero_class", {"left": a, "right": b}))
 
-    parent_a: Dict[FreeElement, Optional[Tuple[FreeElement, StepLabel]]] = {a: None}
-    parent_b: Dict[FreeElement, Optional[Tuple[FreeElement, StepLabel]]] = {b: None}
-    frontier_a, frontier_b = [a], [b]
-    closed_a = closed_b = False
+    steps = _Steps(graph)
+    neighbors = steps.neighbors
+    parents = ({a.items: None}, {b.items: None})  # state -> (state before, label)
+    frontiers = [[a.items], [b.items]]
 
-    def chain_from(parents, end) -> List[StepLabel]:
-        steps = []
-        cur = end
-        while parents[cur] is not None:
-            prev, label = parents[cur]
-            steps.append(label)
-            cur = prev
-        steps.reverse()
-        return steps
-
-    def meet_cert(m: FreeElement) -> Tri:
-        fwd = chain_from(parent_a, m)
-        back = [( -d, g, c) for d, g, c in reversed(chain_from(parent_b, m))]
-        return yes(Certificate("rewrite_chain",
-                               {"start": a, "end": b, "steps": fwd + back}))
+    def chain(side: int, cur: State) -> List[StepLabel]:
+        labels = []
+        while parents[side][cur] is not None:
+            cur, label = parents[side][cur]
+            labels.append(label)
+        return labels[::-1]
 
     for _ in range(bound):
-        if closed_a or closed_b or (not frontier_a and not frontier_b):
+        if not all(frontiers):
             break
-        # expand the smaller live frontier first
-        if frontier_a and (not frontier_b or len(frontier_a) <= len(frontier_b)):
-            side, parents, other = "a", parent_a, parent_b
-            frontier = frontier_a
-        else:
-            side, parents, other = "b", parent_b, parent_a
-            frontier = frontier_b
+        # expand the smaller frontier first, the left one on a tie
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        mine, other = parents[side], parents[1 - side]
         nxt = []
-        for cur in frontier:
-            for succ, label in _neighbors(graph, cur):
+        for cur in frontiers[side]:
+            for succ, label in neighbors(cur):
                 if succ in other:
-                    parents.setdefault(succ, (cur, label))
-                    return meet_cert(succ)
-                if succ not in parents:
-                    parents[succ] = (cur, label)
+                    mine.setdefault(succ, (cur, label))
+                    back = [(-d, g, c) for d, g, c in reversed(chain(1, succ))]
+                    return yes(Certificate("rewrite_chain",
+                                           {"start": a, "end": b, "steps": chain(0, succ) + back}))
+                if succ not in mine:
+                    mine[succ] = (cur, label)
                     nxt.append(succ)
-                    if len(parents) > node_cap:
+                    if len(mine) > node_cap:
                         return unknown(f"node cap {node_cap} hit")
-        if side == "a":
-            frontier_a = nxt
-            closed_a = not nxt
-        else:
-            frontier_b = nxt
-            closed_b = not nxt
+        frontiers[side] = nxt
 
-    if closed_a or closed_b:
-        return no(Certificate("component_separation",
-                              {"left": a, "right": b,
-                               "closed_side": "left" if closed_a else "right",
-                               "component_size": len(parent_a if closed_a else parent_b)}))
-    if not graph.is_lazy and _invariant_separates(graph, a, b):
+    for side, closed in enumerate(("left", "right")):
+        if not frontiers[side]:
+            return no(Certificate("component_separation",
+                                  {"left": a, "right": b, "closed_side": closed,
+                                   "component_size": len(parents[side])}))
+    if not graph.is_lazy and _invariant_separates(steps, a, b):
         return no(Certificate("integer_invariant", {"left": a, "right": b}))
     return unknown(f"no connection within {bound} rounds")
 
@@ -264,12 +262,13 @@ def congruent(graph: GraphLike, a: FreeElement, b: FreeElement, bound: int = 16,
 def apply_chain(graph: GraphLike, start: FreeElement,
                 steps: Sequence[StepLabel]) -> Optional[FreeElement]:
     """Replay a signed step chain; None when a step does not apply."""
-    cur = start
-    for d, gen, color in steps:
-        cur = (step if d == +1 else step_back)(graph, cur, gen, color)
+    engine = _Steps(graph)
+    cur: Optional[State] = start.items
+    for label in steps:
+        cur = engine.step(cur, label)
         if cur is None:
             return None
-    return cur
+    return FreeElement(cur)
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +291,13 @@ def _replay_zero(graph, tri: Tri) -> bool:
 @register_replayer("component_separation", NO)
 def _replay_component(graph, tri: Tri) -> bool:
     d = tri.certificate.data
-    closed = d["left"] if d["closed_side"] == "left" else d["right"]
-    other = d["right"] if d["closed_side"] == "left" else d["left"]
+    left, right = d["left"], d["right"]
+    closed, other = (left, right) if d["closed_side"] == "left" else (right, left)
+    steps = _Steps(graph)
     walked = 0
-    for cur in bfs([closed], lambda c: (s for s, _ in _neighbors(graph, c)), None):
+    for cur in bfs([closed.items], lambda c: (s for s, _ in steps.neighbors(c)), None):
         walked += 1
-        if cur == other or walked > d["component_size"] + 1:
+        if cur == other.items or walked > d["component_size"] + 1:
             return False
     return True
 
@@ -305,4 +305,4 @@ def _replay_component(graph, tri: Tri) -> bool:
 @register_replayer("integer_invariant", NO)
 def _replay_invariant(graph, tri: Tri) -> bool:
     d = tri.certificate.data
-    return not graph.is_lazy and _invariant_separates(graph, d["left"], d["right"])
+    return not graph.is_lazy and _invariant_separates(_Steps(graph), d["left"], d["right"])

@@ -219,8 +219,8 @@ def test_report_and_replays_compute_each_structure_once(family, fact):
 
 @pytest.mark.parametrize("family, most", [
     ("fan3", 1), ("arrow", 1), ("grid2", 1), ("bratteli", 1),
-    # strong aperiodicity asks again of the quotient by H = {}, the graph itself
-    ("cycle4", 2), ("one-vertex-3x2", 2)])
+    # strong aperiodicity takes the report's own verdict for H = {}, the graph itself
+    ("cycle4", 1), ("one-vertex-3x2", 1)])
 def test_report_decides_freeness_and_atomicity_once(monkeypatch, family, most):
     g = families.FAMILIES[family]()
     free = _count_calls(monkeypatch, "acts_freely", monoid, classify)

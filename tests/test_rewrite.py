@@ -1,4 +1,11 @@
-from helpers import common_reduct, reachable
+import random
+
+from helpers import (common_reduct, congruent_reference, neighbors_reference, reachable,
+                     sink_pullbacks)
+from kgraphs import families
+from kgraphs import rewrite as rw
+from kgraphs.kgraph import skew_product
+from kgraphs.monoid import TElement, t_equal
 from kgraphs.rewrite import FreeElement, congruent, expansion, successors
 from kgraphs.tri import Certificate, no, replay
 
@@ -113,3 +120,79 @@ def test_congruent_on_skew_lazy(arrow):
     tri = congruent(sk, a, b)
     assert tri.is_yes
     assert replay(sk, tri)
+
+
+def _walk(rng, graph, a, steps):
+    """``a`` after up to ``steps`` random forward steps: an equal element."""
+    for _ in range(steps):
+        nxt = successors(graph, a)
+        if not nxt:
+            break
+        a = rng.choice(nxt)[0]
+    return a
+
+
+def _some(rng, verts):
+    return FreeElement.from_pairs([(rng.choice(verts), 1) for _ in range(2)])
+
+
+def _reference_cases():
+    """(graph, a, b, bound, node_cap): built-equal pairs, random pairs on
+    finite graphs with sources, and searches cut by the round bound and by
+    the node cap."""
+    rng = random.Random(7)
+    fan3, one = families.fan_3color(), families.one_vertex_3x3()
+    cases = [(fan3, F("u"), F("u", "v"), 16, 20000), (fan3, F("u", "v"), F("u", "w"), 16, 20000),
+             (fan3, F("v"), F("v", "v"), 16, 20000), (fan3, F("x", "x"), F("u", "v", "w"), 16, 20000),
+             (one, F("v"), F("v", "v"), 16, 20000), (one, F("v"), F("v", "v", "v"), 16, 20000),
+             (skew_product(families.arrow_pullback()),
+              F(("v", (0, 0))), F(("v", (1, -1))), 16, 20000)]
+    pullbacks = sink_pullbacks(5)
+    for g in pullbacks:
+        for _ in range(3):
+            a = _some(rng, g.vertices)
+            cases.append((g, _walk(rng, g, a, 1), _walk(rng, g, a, 2), 8, 500))
+            cases.append((g, _some(rng, g.vertices), _some(rng, g.vertices), 8, 500))
+    bratteli = families.rank2_bratteli()
+    for base, verts in ((bratteli, [(n, j) for n in range(3) for j in range(1 << n)]),
+                        (pullbacks[0], pullbacks[0].vertices)):
+        sk = skew_product(base)
+        window = [(v, (i, j)) for v in verts for i in range(3) for j in range(3)]
+        for bound, cap, far in [(8, 500, 2)] * 4 + [(1, 500, 3), (8, 5, 3)]:
+            a = _some(rng, window)
+            cases.append((sk, _walk(rng, sk, a, 1), _walk(rng, sk, a, far), bound, cap))
+    return cases
+
+
+def test_congruent_matches_the_free_element_search():
+    outcomes = set()
+    for graph, a, b, bound, cap in _reference_cases():
+        tri = congruent(graph, a, b, bound, cap)
+        assert repr(tri) == repr(congruent_reference(graph, a, b, bound, cap)), (graph.name, a, b)
+        assert replay(graph, tri)
+        for elem in (a, b):
+            steps = rw._Steps(graph).neighbors(elem.items)
+            assert [(FreeElement(s), label) for s, label in steps] == neighbors_reference(graph, elem)
+        outcomes.add(tri.certificate.kind if tri.certificate else " ".join(tri.note.split()[:2]))
+    # yes chains, both kinds of "no", and both bounds that leave it unknown
+    assert outcomes == {"rewrite_chain", "component_separation", "integer_invariant",
+                        "node cap", "no connection"}
+
+
+def test_search_builds_free_elements_only_at_its_ends(monkeypatch, bratteli):
+    rng = random.Random(3)
+    sk = skew_product(bratteli)
+    window = [((n, j), (i, 0)) for n in range(3) for j in range(1 << n) for i in range(3)]
+    start = _some(rng, window)
+    a, b = _walk(rng, sk, start, 1), _walk(rng, sk, start, 2)
+    calls = []
+    real = FreeElement.from_pairs
+    monkeypatch.setattr(rw.FreeElement, "from_pairs",
+                        staticmethod(lambda pairs: calls.append(1) or real(pairs)))
+    tri = t_equal(bratteli, TElement.from_pairs(a.items), TElement.from_pairs(b.items))
+    assert tri.is_yes and tri.certificate.kind == "skew_rewrite"
+    # the two skew elements handed to the search, not one per state
+    assert len(calls) <= 4, len(calls)
+    calls.clear()
+    congruent_reference(sk, a, b)
+    assert len(calls) > 20
